@@ -13,7 +13,6 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import IO, Sequence
@@ -23,6 +22,7 @@ import numpy as np
 from .graph_core import (
     LayerWeights,
     MultilayerGraph,
+    aggregate,
     degree_normalize,
     parse_label_file,
     parse_multilayer_edge_list,
@@ -30,8 +30,9 @@ from .graph_core import (
     serialize_multilayer_edge_list,
 )
 from .metrics import metric_report
-from .mimosa import MimosaConfig, _encode, adapt_weights, run_mimosa, serialize_result
-from .spectral import ClusterAssignment, ConvergenceError, multilayer_sgc, partial_eigenvalue_sum
+from .mimosa import MimosaConfig, adapt_weights, run_mimosa, serialize_result, strict_json
+from .noise_stats import estimate_noise
+from .spectral import ClusterAssignment, ConvergenceError, multilayer_sgc, partial_eigenvalue_sum, smallest_eigenpairs
 from .synth import GeneralRimParams, TwoLayerCorrelatedParams, detectability, generate_rim, generate_two_layer
 from .theory import breakdown_condition_holds, breakdown_matrix, critical_bounds, critical_weight_w1, predicted_partial_sum
 
@@ -140,7 +141,7 @@ def _load_assignment(path: str, graph: MultilayerGraph) -> ClusterAssignment:
 
 
 def _print_json(doc: dict, stream: IO[str]) -> None:
-    stream.write(json.dumps(_encode(doc), sort_keys=True, indent=2, allow_nan=False) + "\n")
+    stream.write(strict_json(doc))
 
 
 def _fmt(value: float) -> str:
@@ -378,9 +379,6 @@ def _sweep_point(
                 det = detectability(result.assignment, truth)
                 bounds = critical_bounds(graph, truth, result.w_star)
                 t_w = float(result.w_star.values @ np.array([p1, p2]))
-                from .graph_core import aggregate
-                from .spectral import smallest_eigenpairs
-
                 emb = smallest_eigenpairs(aggregate(graph, result.w_star), result.K,
                                           rng=np.random.default_rng(trial_seed))
                 s2k = partial_eigenvalue_sum(emb) / graph.n
@@ -509,8 +507,6 @@ def _cmd_theory_check(args: argparse.Namespace) -> int:
         raise ValueError("theory-check: need at least two clusters in the label file")
     weights = _weights_or_uniform(args.w, graph.L, "--w")
 
-    from .noise_stats import estimate_noise
-
     estimates = estimate_noise(graph, assignment)
     noise = np.stack([estimates.t_hat_matrix(layer) for layer in range(graph.L)])
     if args.noise_override is not None:
@@ -544,33 +540,12 @@ def _cmd_theory_check(args: argparse.Namespace) -> int:
         "predicted_partial_sum": {"low": lo, "high": hi},
     }
     if graph.L == 2:
-        s = [
-            float(min(
-                np.sum(_smallest_sums_for_layer(graph, assignment, layer, k))
-                for k in range(assignment.K)
-            ))
-            for layer in range(2)
-        ]
-        solution = critical_weight_w1(
-            float(estimates.t_hat_layer[0]),
-            float(estimates.t_hat_layer[1]),
-            s[0] / graph.n,
-            s[1] / graph.n,
-            assignment.K,
-        )
+        t1, t2 = estimates.t_hat_layer
+        s1, s2 = bounds.layer_partial_sums.min(axis=1) / graph.n
+        solution = critical_weight_w1(float(t1), float(t2), float(s1), float(s2), assignment.K)
         doc["critical_weight"] = {"w1": solution.value, "degenerate": solution.degenerate}
     _print_json(doc, sys.stdout)
     return 0
-
-
-def _smallest_sums_for_layer(graph: MultilayerGraph, assignment: ClusterAssignment, layer: int, k: int):
-    from .graph_core import subgraph_laplacian
-    from .theory import _laplacian_smallest_eigvals
-
-    idx = assignment.members(k)
-    lap = subgraph_laplacian(graph.layers[layer], idx)
-    eigvals = _laplacian_smallest_eigvals(lap, assignment.K)
-    return eigvals[1 : assignment.K]
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,7 @@ def parse_multilayer_edge_list(source: str | IO[str]) -> MultilayerGraph:
         except ValueError:
             raise EdgeListFormatError(f"line {line_no}: weight {weight_text!r} is not numeric") from None
         if not math.isfinite(weight) or weight <= 0.0:
-            raise EdgeListFormatError(f"line {line_no}: weight must be a positive finite number, got {weight_text})")
+            raise EdgeListFormatError(f"line {line_no}: weight must be a positive finite number, got {weight_text}")
         key = (layer, u, v) if u < v else (layer, v, u)
         if key in seen:
             raise DuplicateEdgeError(f"line {line_no}: duplicate edge {key[1]!r}-{key[2]!r} in layer {layer}")

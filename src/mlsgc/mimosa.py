@@ -36,12 +36,7 @@ from .noise_stats import (
     glrt_identical_noise,
     vtest_from_row_sums,
 )
-from .spectral import (
-    ClusterAssignment,
-    SpectralEmbedding,
-    kmeans,
-    smallest_eigenpairs,
-)
+from .spectral import ClusterAssignment, kmeans, smallest_eigenpairs
 from .theory import cluster_partial_sums
 
 __all__ = [
@@ -54,6 +49,7 @@ __all__ = [
     "run_mimosa",
     "serialize_result",
     "snr",
+    "strict_json",
 ]
 
 _DEFAULT_TAUS = (0.0, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4, 1e5)
@@ -361,30 +357,24 @@ def _mimosa_loop(
     trace: list[TraceRecord],
     reliable: list[ReliableCandidate],
 ) -> None:
-    prev_embedding: SpectralEmbedding | None = None
-    prev_component_key: tuple[int, ...] | None = None
-
     for K in range(2, max_k + 1):
         # Step 1: cluster with the initial weights.
-        agg_ini, sub_ini, comp_ini, others_ini, disc_ini = _prepare_component(graph, w_ini)
+        agg_ini, sub_ini, _, _, disc_ini = _prepare_component(graph, w_ini)
         if disc_ini:
             warnings.warn(
                 f"aggregated graph is disconnected; clustering its largest component "
                 f"({sub_ini.n} of {graph.n} nodes)",
                 stacklevel=3,
             )
-        comp_key = tuple(comp_ini) if comp_ini is not None else None
         if sub_ini.n < K + 1:
             trace.append(TraceRecord(
                 index=len(trace), K=K, tau=None, w=tuple(w_ini.values),
                 outcome="init_component_too_small", disconnected=disc_ini,
                 component_size=sub_ini.n,
             ))
-            prev_embedding, prev_component_key = None, None
             continue
 
-        warm = prev_embedding.Y if (prev_embedding is not None and prev_component_key == comp_key) else None
-        emb_ini = smallest_eigenpairs(agg_ini, K, rng=_rng_for(seed, K, 0, 0), warm_start=warm)
+        emb_ini = smallest_eigenpairs(agg_ini, K, rng=_rng_for(seed, K, 0, 0))
         asg_ini = kmeans(emb_ini.Y, K, seed=_kmeans_seed(seed, K, 0))
         est_ini = estimate_noise(sub_ini, asg_ini)
         t_ini = est_ini.t_hat_layer
@@ -394,14 +384,12 @@ def _mimosa_loop(
             cluster_sizes=tuple(int(s) for s in asg_ini.sizes),
             t_hat_layers=tuple(float(t) for t in t_ini),
         ))
-        prev_embedding, prev_component_key = emb_ini, comp_key
 
         found_at_k = False
         for z, tau in enumerate(config.tau_set, start=1):
             w = adapt_weights(w_ini, t_ini, tau)
             record = _tau_iteration(
-                graph, w, K, tau, len(trace), seed, z, emb_ini, comp_key,
-                alpha, alpha_prime, config.eta, reliable,
+                graph, w, K, tau, len(trace), seed, z, alpha, alpha_prime, config.eta, reliable,
             )
             trace.append(record)
             if record.reliable:
@@ -418,22 +406,18 @@ def _tau_iteration(
     trace_index: int,
     seed: int,
     z: int,
-    emb_ini: SpectralEmbedding,
-    init_component_key: tuple[int, ...] | None,
     alpha: tuple[float, ...],
     alpha_prime: tuple[float, ...],
     eta: float,
     reliable: list[ReliableCandidate],
 ) -> TraceRecord:
     agg, sub, component, others, disconnected = _prepare_component(graph, w)
-    comp_key = tuple(component) if component is not None else None
     base = dict(index=trace_index, K=K, tau=float(tau), w=tuple(w.values), disconnected=disconnected,
                 component_size=sub.n if disconnected else None)
     if sub.n < K + 1:
         return TraceRecord(outcome="component_too_small", **base)
 
-    warm = emb_ini.Y if comp_key == init_component_key else None
-    embedding = smallest_eigenpairs(agg, K, rng=_rng_for(seed, K, z, 0), warm_start=warm)
+    embedding = smallest_eigenpairs(agg, K, rng=_rng_for(seed, K, z, 0))
     sub_assignment = kmeans(embedding.Y, K, seed=_kmeans_seed(seed, K, z))
     base["cluster_sizes"] = tuple(int(s) for s in sub_assignment.sizes)
 
@@ -569,6 +553,11 @@ def _candidate_dict(candidate: ReliableCandidate, node_ids: tuple[str, ...]) -> 
     }
 
 
+def strict_json(doc: dict) -> str:
+    """Key-sorted, indented JSON text of ``doc`` (non-finite floats as strings)."""
+    return json.dumps(_encode(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 def serialize_result(result: MimosaResult) -> str:
     """Serialize a result to a deterministic key-sorted JSON document.
 
@@ -588,7 +577,7 @@ def serialize_result(result: MimosaResult) -> str:
         doc["w_star"] = list(result.w_star.values)
         doc["snr"] = result.snr
         doc["reliable_set"] = [_candidate_dict(c, result.node_ids) for c in result.reliable_set]
-    return json.dumps(_encode(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return strict_json(doc)
 
 
 def parse_result(text: str) -> dict:

@@ -7,10 +7,12 @@ The partial eigenvalue sum ``lambda_2 + ... + lambda_K`` doubles as the
 objective value of the relaxed multi-way cut and drives the phase-transition
 analysis elsewhere in the package.
 
-The Lanczos solver here deflates the known null vector ``1/sqrt(n)`` of every
-Laplacian of a connected graph and fully reorthogonalizes, trading memory for
-the robustness needed at phase-transition boundaries where eigenvalue gaps
-shrink toward zero.
+Every Laplacian eigenproblem of the package goes through one function,
+:func:`smallest_laplacian_eigs`, with one size rule: up to 512 nodes it
+solves densely (LAPACK), above that it runs ARPACK from a start vector
+drawn from the caller's seeded generator, so results are reproducible bit
+for bit.  A warm start only moves ARPACK's
+start vector.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy import linalg, sparse
+from scipy.sparse import linalg as sparse_linalg
 
 from .graph_core import AggregatedGraph, LayerWeights, MultilayerGraph, aggregate, connected_components
 
@@ -32,18 +35,16 @@ __all__ = [
     "multilayer_sgc",
     "partial_eigenvalue_sum",
     "smallest_eigenpairs",
+    "smallest_laplacian_eigs",
     "subspace_distance",
 ]
 
-_LANCZOS_TOL = 1e-9
-_MAX_STEPS_PER_VECTOR = 50
-
-
 class ConvergenceError(RuntimeError):
-    """The iterative eigensolver ran out of iterations before converging.
+    """The iterative (ARPACK) eigensolver failed to converge.
 
     Attributes:
-        residual: the worst Ritz-pair residual estimate at the final step.
+        residual: the worst residual estimate the solver reported, or nan
+            when it reported none (ARPACK does not).
     """
 
     def __init__(self, message: str, residual: float) -> None:
@@ -171,19 +172,62 @@ class ClusterAssignment:
 
 
 # ---------------------------------------------------------------------------
-# Lanczos with deflation and full reorthogonalization
+# Laplacian eigensolver
 # ---------------------------------------------------------------------------
 
+_DENSE_MAX_N = 512
 
-def _orthonormalize_against(v: np.ndarray, basis: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Two-pass classical Gram-Schmidt of ``v`` against ``basis``.
 
-    Returns the orthogonal component and its norm (possibly ~0 on breakdown).
+def smallest_laplacian_eigs(
+    lap: sparse.csr_array,
+    count: int,
+    *,
+    rng: np.random.Generator | None = None,
+    warm_start: np.ndarray | None = None,
+    vectors: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The ``count`` smallest eigenvalues of a sparse graph Laplacian, ascending.
+
+    Up to 512 nodes, or when ``count >= n`` (ARPACK needs ``count < n``),
+    the Laplacian is solved densely: ``numpy.linalg.eigvalsh`` for values,
+    ``scipy.linalg.eigh`` restricted to the wanted indices with vectors.
+    Larger inputs go to ARPACK (``scipy.sparse.linalg.eigsh`` with
+    ``which="SA"``, converged to machine precision) from a start vector
+    drawn from ``rng``, so repeated calls with equal generators return
+    identical bits.  The Laplacian may be disconnected; eigenvalues are
+    clipped at 0 against round-off.
+
+    Args:
+        lap: symmetric sparse Laplacian of ``n`` nodes.
+        count: number of eigenvalues wanted, ``1 <= count <= n``.
+        rng: source of ARPACK's start vector; defaults to a fixed seed.
+        warm_start: optional ``(n, j)`` matrix whose column sum (plus a
+            small random perturbation) becomes ARPACK's start vector.
+        vectors: also return the ``(n, count)`` unit eigenvectors.
+
+    Raises:
+        ConvergenceError: ARPACK failed; ``residual`` is nan because ARPACK
+            reports none.
     """
-    for _ in range(2):
-        for b in basis:
-            v = v - (b @ v) * b
-    return v, float(np.linalg.norm(v))
+    n = lap.shape[0]
+    if n <= _DENSE_MAX_N or count >= n:
+        dense = lap.toarray()
+        if not vectors:
+            return np.maximum(np.linalg.eigvalsh(dense)[:count], 0.0)
+        values, vecs = linalg.eigh(dense, subset_by_index=(0, count - 1))
+        return np.maximum(values, 0.0), vecs
+    if rng is None:
+        rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n)
+    if warm_start is not None:
+        v0 = np.sum(np.asarray(warm_start, dtype=np.float64), axis=1) + 1e-3 * v0
+    try:
+        values, vecs = sparse_linalg.eigsh(lap, k=count, which="SA", v0=v0)
+    except sparse_linalg.ArpackError as err:
+        raise ConvergenceError(f"ARPACK eigensolver failed: {err}", residual=float("nan")) from err
+    order = np.argsort(values)
+    values = np.maximum(values[order], 0.0)
+    return (values, vecs[:, order]) if vectors else values
 
 
 def smallest_eigenpairs(
@@ -195,129 +239,43 @@ def smallest_eigenpairs(
 ) -> SpectralEmbedding:
     """Eigenpairs 2..K (plus eigenvalue K+1) of the aggregated Laplacian.
 
-    Runs Lanczos on the Laplacian matvec with the constant null vector
-    deflated and full reorthogonalization against all previous Lanczos
-    vectors.  On near-breakdown (the new Krylov direction vanishes, as
-    happens with eigenvalue multiplicity) the iteration restarts with a
-    fresh random direction orthogonal to everything found so far.
+    Asks :func:`smallest_laplacian_eigs` for K+1 pairs and drops the first,
+    the constant null vector of a connected graph.  ``rng`` and
+    ``warm_start`` only seed ARPACK's start vector (graphs over 512 nodes):
+    they move where ARPACK starts, not what it converges to.
 
     Args:
         g: aggregated graph; must be connected.
         K: number of clusters; needs ``2 <= K <= n - 1`` so that eigenvalues
             2..K+1 all exist.
-        rng: random source for start vectors; defaults to a fixed seed so
-            repeated calls are identical.
-        warm_start: optional ``(n, j)`` matrix whose column span seeds the
-            start vector (e.g. the previous embedding when sweeping weight
-            vectors).  Falls back to a cold start if the warm run fails.
+        rng: defaults to a fixed seed so repeated calls are identical.
+        warm_start: optional ``(n, j)`` matrix, e.g. the previous embedding
+            when sweeping weight vectors.
 
     Raises:
-        DisconnectedGraphError: the graph is disconnected (the deflation
-            of a single constant vector would silently miss the extra
-            zero eigenvalues).
+        DisconnectedGraphError: the graph is disconnected (its extra zero
+            eigenvalues would take the place of eigenvalues 2..K).
         ValueError: K out of range.
-        ConvergenceError: iteration cap hit before residuals fell below
-            tolerance.
+        ConvergenceError: ARPACK failed.
     """
     n = g.n
     if not 2 <= K <= n - 1:
         raise ValueError(f"K must satisfy 2 <= K <= n-1 = {n - 1}, got {K}")
     if len(connected_components(g)) != 1:
         raise DisconnectedGraphError("aggregated graph is disconnected")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
-    if warm_start is not None:
-        try:
-            return _lanczos(g, K, rng, warm_start)
-        except ConvergenceError:
-            pass
-    return _lanczos(g, K, rng, None)
-
-
-def _start_vector(n: int, rng: np.random.Generator, warm_start: np.ndarray | None,
-                  deflate: list[np.ndarray]) -> np.ndarray:
-    if warm_start is not None:
-        v = np.sum(np.asarray(warm_start, dtype=np.float64), axis=1)
-        v = v + 1e-3 * rng.standard_normal(n)
-    else:
-        v = rng.standard_normal(n)
-    v, norm = _orthonormalize_against(v, deflate)
-    while norm < 1e-12:  # pathological draw; try again
-        v, norm = _orthonormalize_against(rng.standard_normal(n), deflate)
-    return v / norm
-
-
-def _lanczos(g: AggregatedGraph, K: int, rng: np.random.Generator,
-             warm_start: np.ndarray | None) -> SpectralEmbedding:
-    n = g.n
-    nev = K  # eigenvalues 2..K+1 of L, i.e. the nev smallest after deflation
-    max_steps = _MAX_STEPS_PER_VECTOR * (K + 2)
-    ones = np.full(n, 1.0 / np.sqrt(n))
-    deflate = [ones]
-
-    V: list[np.ndarray] = []  # Lanczos vectors
-    alphas: list[float] = []
-    betas: list[float] = []  # betas[j] couples V[j] and V[j+1]
-    v = _start_vector(n, rng, warm_start, deflate)
-    scale = max(1.0, 2.0 * float(g.strength.max(initial=0.0)))
-    krylov_cap = n - 1  # dimension of the deflated invariant subspace
-    last_residual = np.inf
-
-    step = 0
-    while True:
-        V.append(v)
-        w = g.laplacian_matvec(v)
-        alpha = float(v @ w)
-        alphas.append(alpha)
-        w, beta = _orthonormalize_against(w, deflate + V)
-        step += 1
-        j = len(alphas)
-
-        theta = s = None
-        if j >= nev:
-            theta, s = eigh_tridiagonal(
-                np.asarray(alphas), np.asarray(betas), select="i", select_range=(0, nev - 1)
-            )
-            # Residual bound for Ritz pair m: |beta_j * s[last, m]|.
-            last_residual = float(np.max(np.abs(beta * s[-1, :])))
-            if last_residual <= _LANCZOS_TOL * scale:
-                break
-        if j >= krylov_cap:
-            # The Krylov space exhausted the deflated subspace: T is exact.
-            theta, s = eigh_tridiagonal(
-                np.asarray(alphas), np.asarray(betas), select="i", select_range=(0, nev - 1)
-            )
-            break
-        if step >= max_steps:
-            raise ConvergenceError(
-                f"Lanczos did not converge within {max_steps} steps (residual {last_residual:.3e})",
-                residual=last_residual,
-            )
-        if beta < 1e-12 * scale:
-            # Breakdown: the Krylov space closed early (e.g. multiplicity).
-            # Record a zero coupling and restart from a fresh direction.
-            betas.append(0.0)
-            v, norm = _orthonormalize_against(rng.standard_normal(n), deflate + V)
-            while norm < 1e-12:
-                v, norm = _orthonormalize_against(rng.standard_normal(n), deflate + V)
-            v = v / norm
-        else:
-            betas.append(beta)
-            v = w / beta
-
-    basis = np.column_stack(V)  # (n, j)
-    eigenvalues = np.maximum(theta, 0.0)  # clip tiny negative round-off
-    X = basis @ s  # Ritz vectors, (n, nev); no extra QR so residuals stay per-column
-    Y = X[:, : K - 1].copy()
+    eigenvalues, vecs = smallest_laplacian_eigs(
+        g.laplacian(), K + 1, rng=rng, warm_start=warm_start, vectors=True
+    )
+    Y = vecs[:, 1:K].copy()
     for col in range(Y.shape[1]):
         pivot = int(np.argmax(np.abs(Y[:, col])))
         if Y[pivot, col] < 0:
             Y[:, col] = -Y[:, col]
     Y.setflags(write=False)
-    eig = eigenvalues[: K - 1].copy()
+    eig = eigenvalues[1:K].copy()
     eig.setflags(write=False)
-    return SpectralEmbedding(Y=Y, eigenvalues=eig, lambda_kplus1=float(eigenvalues[K - 1]))
+    return SpectralEmbedding(Y=Y, eigenvalues=eig, lambda_kplus1=float(eigenvalues[K]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ assignments agree on, via optimal assignment over cluster overlaps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,16 +56,6 @@ def _validate_sizes(cluster_sizes: tuple[int, ...]) -> None:
         raise ValueError("at least one cluster is required")
     if any(int(s) < 1 for s in cluster_sizes):
         raise ValueError("cluster sizes must be positive")
-
-
-def _block_from_mask(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
-                     row_off: int, col_off: int,
-                     out_rows: list[np.ndarray], out_cols: list[np.ndarray],
-                     out_data: list[np.ndarray]) -> None:
-    """Append a (symmetrized later) off-diagonal block's entries."""
-    out_rows.append(rows + row_off)
-    out_cols.append(cols + col_off)
-    out_data.append(weights)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .graph_core import (
     subgraph_laplacian,
     within_cluster_laplacians,
 )
-from .spectral import ClusterAssignment, SpectralEmbedding
+from .spectral import ClusterAssignment, SpectralEmbedding, smallest_laplacian_eigs
 
 __all__ = [
     "ClusterTooSmallError",
@@ -69,6 +69,9 @@ class PhaseBounds:
             ``lambda_2 + .. + lambda_K`` of the aggregated within-cluster
             subgraphs (indexed by cluster label).
         K, n, n_min, n_max: assignment shape used for the bounds.
+        layer_partial_sums: ``(L, K)`` partial eigenvalue sums of each
+            cluster's within subgraph in each single layer (the input of
+            the universal bounds and of the per-layer signal levels).
     """
 
     t_lb: float
@@ -80,6 +83,7 @@ class PhaseBounds:
     n: int
     n_min: int
     n_max: int
+    layer_partial_sums: np.ndarray
 
     @property
     def c_star(self) -> float:
@@ -87,22 +91,9 @@ class PhaseBounds:
         return float(self.cluster_partial_sums.min() / self.n)
 
 
-def _laplacian_smallest_eigvals(lap, count: int) -> np.ndarray:
-    """Smallest ``count`` eigenvalues of a sparse Laplacian, ascending.
-
-    Dense solve below a size cutoff; Lanczos on larger inputs.  The
-    Laplacian may be disconnected (eigenvalue-only use never assumes a
-    single zero eigenvalue).
-    """
-    s = lap.shape[0]
-    if s <= 512:
-        eigvals = np.linalg.eigvalsh(lap.toarray())
-        return np.maximum(eigvals[:count], 0.0)
-    from scipy.sparse.linalg import eigsh
-
-    vals = eigsh(lap.tocsc() * 1.0, k=count, sigma=-1e-6, which="LM",
-                 return_eigenvectors=False)
-    return np.maximum(np.sort(vals)[:count], 0.0)
+def _partial_sum(lap, K: int) -> float:
+    """``lambda_2 + .. + lambda_K`` of a Laplacian."""
+    return float(np.sum(smallest_laplacian_eigs(lap, K)[1:K]))
 
 
 def cluster_partial_sums(
@@ -126,12 +117,8 @@ def cluster_partial_sums(
     if len(weights) != graph.L:
         raise ValueError(f"weight vector has {len(weights)} entries for {graph.L} layers")
     agg = aggregate(graph, weights)
-    sums = np.empty(K)
-    for k in range(K):
-        idx = assignment.members(k)
-        lap = subgraph_laplacian(agg.weight_matrix, idx)
-        eigvals = _laplacian_smallest_eigvals(lap, K)
-        sums[k] = float(np.sum(eigvals[1:K]))
+    sums = np.array([_partial_sum(subgraph_laplacian(agg.weight_matrix, assignment.members(k)), K)
+                     for k in range(K)])
     sums.setflags(write=False)
     return sums
 
@@ -158,12 +145,9 @@ def critical_bounds(
     K = assignment.K
     n_min, n_max = assignment.n_min, assignment.n_max
 
-    per_layer = np.empty((graph.L, K))
-    layer_laps = within_cluster_laplacians(graph, assignment)
-    for layer in range(graph.L):
-        for k in range(K):
-            eigvals = _laplacian_smallest_eigvals(layer_laps[layer][k], K)
-            per_layer[layer, k] = float(np.sum(eigvals[1:K]))
+    per_layer = np.array([[_partial_sum(lap, K) for lap in laps]
+                          for laps in within_cluster_laplacians(graph, assignment)])
+    per_layer.setflags(write=False)
 
     with np.errstate(invalid="ignore"):  # K == 1 has no transition: 0/0 -> nan
         t_lb = float(sums.min() / ((K - 1) * n_max))
@@ -180,6 +164,7 @@ def critical_bounds(
         n=assignment.n,
         n_min=n_min,
         n_max=n_max,
+        layer_partial_sums=per_layer,
     )
 
 
@@ -249,7 +234,7 @@ def breakdown_condition_holds(
     mu = np.linalg.eigvals(np.asarray(breakdown, dtype=np.float64) / n)
 
     agg = aggregate(graph, weights)
-    eigvals = _laplacian_smallest_eigvals(agg.laplacian(), K)
+    eigvals = smallest_laplacian_eigs(agg.laplacian(), K)
     lam = [float(v) / n for v in eigvals[1:K]]
 
     for m in mu:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mlsgc import spectral
 from mlsgc import (
     ClusterAssignment,
     LayerWeights,
@@ -101,3 +102,14 @@ def connected_random_multilayer(rng, n, L, density=0.4):
 
 def balanced_assignment(sizes):
     return ClusterAssignment(np.repeat(np.arange(len(sizes)), sizes))
+
+
+@pytest.fixture
+def arpack_fails(monkeypatch):
+    """Make every ARPACK solve report non-convergence."""
+    def no_convergence(*args, **kwargs):
+        raise spectral.sparse_linalg.ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0))
+        )
+
+    monkeypatch.setattr(spectral.sparse_linalg, "eigsh", no_convergence)

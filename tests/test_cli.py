@@ -21,7 +21,7 @@ from mlsgc import (
 )
 from mlsgc.cli import main
 
-from .conftest import adjacency_from_edges, dense_graph, ids
+from .conftest import adjacency_from_edges, connected_random_multilayer, dense_graph, ids
 
 
 GENERATE_PARAMS = """\
@@ -407,3 +407,34 @@ def test_missing_file_is_validation_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "cluster", str(tmp_path / "nope.tsv"), "--k", "2")
     assert code == 2
     assert "error:" in err
+
+
+# --------------------------------------------------- numerical failure
+
+
+@pytest.fixture()
+def large_graph_files(tmp_path):
+    """A connected 540-node graph (above the dense-solver cutoff) whose label
+    file puts 520 nodes in one cluster."""
+    graph = connected_random_multilayer(np.random.default_rng(4), 540, 2, density=0.02)
+    labels = np.where(np.arange(graph.n) < 520, 0, 1)
+    edges = write(tmp_path / "large.tsv", serialize_multilayer_edge_list(graph))
+    truth = write(tmp_path / "large.labels", serialize_label_file(graph.node_ids, labels))
+    return edges, truth
+
+
+def test_cluster_arpack_failure_exits_4(large_graph_files, arpack_fails, capsys):
+    edges, _ = large_graph_files
+    code, out, err = run_cli(capsys, "cluster", edges, "--k", "3")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numerical failure:")
+    assert "Traceback" not in err
+
+
+def test_theory_check_arpack_failure_exits_4(large_graph_files, arpack_fails, capsys):
+    code, out, err = run_cli(capsys, "theory-check", *large_graph_files)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numerical failure:")
+    assert "Traceback" not in err

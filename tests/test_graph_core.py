@@ -74,8 +74,9 @@ def test_parse_bad_row_reports_line_number():
 
 
 def test_parse_negative_weight_rejected():
-    with pytest.raises(EdgeListFormatError):
+    with pytest.raises(EdgeListFormatError) as info:
         parse_multilayer_edge_list("0 a b -1.0\n")
+    assert str(info.value) == "line 1: weight must be a positive finite number, got -1.0"
 
 
 def test_parse_accepts_file_object():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlsgc import spectral
 from mlsgc import (
     ClusterAssignment,
+    ConvergenceError,
     DisconnectedGraphError,
     LayerWeights,
     SpectralEmbedding,
@@ -113,6 +115,64 @@ def test_eigenvalue_ordering(seed, K):
     full = np.append(emb.eigenvalues, emb.lambda_kplus1)
     assert np.all(np.diff(full) >= -1e-10)
     assert np.all(full >= 0.0)
+
+
+# ------------------------------------------- ARPACK branch (n > 512)
+
+
+@pytest.fixture(scope="module")
+def arpack_graph():
+    """A connected sparse two-layer graph of 600 nodes, above the dense cutoff."""
+    return aggregate(connected_random_multilayer(np.random.default_rng(23), 600, 2, density=0.02),
+                     LayerWeights.uniform(2))
+
+
+def test_arpack_branch_matches_dense_oracle(arpack_graph, monkeypatch):
+    calls = []
+    eigsh = spectral.sparse_linalg.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("k"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.sparse_linalg, "eigsh", counted)
+    K = 5
+    dense = dense_laplacian_spectrum(arpack_graph)
+    emb = smallest_eigenpairs(arpack_graph, K, rng=np.random.default_rng(1))
+    assert calls == [K + 1]
+    got = np.append(emb.eigenvalues, emb.lambda_kplus1)
+    assert np.max(np.abs(got - dense[1 : K + 1])) <= 1e-8 * dense[K]
+
+
+def test_arpack_branch_embedding_invariants(arpack_graph):
+    n, K = arpack_graph.n, 4
+    emb = smallest_eigenpairs(arpack_graph, K)
+    assert emb.Y.T @ emb.Y == pytest.approx(np.eye(K - 1), abs=1e-10)
+    assert emb.Y.T @ np.full(n, 1.0 / np.sqrt(n)) == pytest.approx(np.zeros(K - 1), abs=1e-9)
+    for col in emb.Y.T:
+        assert col[np.argmax(np.abs(col))] > 0
+
+
+def test_arpack_branch_warm_start_gives_same_eigenvalues(arpack_graph):
+    K = 4
+    cold = smallest_eigenpairs(arpack_graph, K)
+    warm = smallest_eigenpairs(arpack_graph, K, rng=np.random.default_rng(5), warm_start=cold.Y)
+    scale = cold.lambda_kplus1
+    assert np.max(np.abs(warm.eigenvalues - cold.eigenvalues)) <= 1e-8 * scale
+    assert warm.lambda_kplus1 == pytest.approx(cold.lambda_kplus1, rel=1e-8)
+
+
+def test_k_up_to_n_minus_one_above_dense_cutoff(arpack_graph):
+    n = arpack_graph.n
+    emb = smallest_eigenpairs(arpack_graph, n - 1)
+    assert emb.Y.shape == (n, n - 2)
+    assert emb.lambda_kplus1 == pytest.approx(dense_laplacian_spectrum(arpack_graph)[-1], rel=1e-10)
+
+
+def test_arpack_failure_becomes_convergence_error(arpack_graph, arpack_fails):
+    with pytest.raises(ConvergenceError) as info:
+        smallest_eigenpairs(arpack_graph, 3)
+    assert np.isnan(info.value.residual)
 
 
 # ------------------------------------------------------ partial sums

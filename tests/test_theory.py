@@ -14,6 +14,7 @@ from mlsgc import (
     aggregate,
     breakdown_condition_holds,
     breakdown_matrix,
+    cluster_partial_sums,
     critical_bounds,
     critical_weight_w1,
     eigenvalue_bounds_check,
@@ -24,6 +25,16 @@ from mlsgc import (
 )
 
 from .conftest import balanced_assignment, dense_graph, ids
+
+
+def large_cluster_graph():
+    """Two sparse layers, clusters of 520, 20 and 20 nodes: the big one is
+    above the dense-solver cutoff of 512 nodes."""
+    params = GeneralRimParams(
+        cluster_sizes=(520, 20, 20), n_layers=2,
+        within_probs=[[0.2, 0.5, 0.5], [0.14, 0.5, 0.5]], noise_probs=[0.01, 0.02], seed=1,
+    )
+    return generate_rim(params)
 
 
 def two_cliques_graph(size, bridge=0.0):
@@ -104,6 +115,42 @@ def test_bounds_one_homogeneous_in_within_weights():
     b2 = critical_bounds(scaled, asn, w)
     assert b2.t_lb == pytest.approx(3.0 * b1.t_lb, rel=1e-12)
     assert b2.universal_ub == pytest.approx(3.0 * b1.universal_ub, rel=1e-12)
+
+
+def test_cluster_partial_sums_above_dense_cutoff_match_dense_oracle():
+    g, asn = large_cluster_graph()
+    w = LayerWeights(np.array([0.3, 0.7]))
+    sums = cluster_partial_sums(g, asn, w)
+    agg = aggregate(g, w)
+    for k in range(asn.K):
+        idx = asn.members(k)
+        sub = agg.weight_matrix[idx][:, idx].toarray()
+        lap = np.diag(sub.sum(axis=1)) - sub
+        expected = np.sum(np.linalg.eigvalsh(lap)[1 : asn.K])
+        assert sums[k] == pytest.approx(expected, rel=1e-8)
+
+
+def test_critical_bounds_above_dense_cutoff_are_deterministic():
+    g, asn = large_cluster_graph()
+    w = LayerWeights.uniform(2)
+    first, second = critical_bounds(g, asn, w), critical_bounds(g, asn, w)
+    for name in ("t_lb", "t_ub", "universal_lb", "universal_ub"):
+        assert getattr(first, name) == getattr(second, name), name
+    assert np.array_equal(first.cluster_partial_sums, second.cluster_partial_sums)
+    assert np.array_equal(first.layer_partial_sums, second.layer_partial_sums)
+
+
+def test_layer_partial_sums_are_single_layer_cluster_sums():
+    g, asn = large_cluster_graph()
+    bounds = critical_bounds(g, asn, LayerWeights.uniform(2))
+    assert bounds.layer_partial_sums.shape == (g.L, asn.K)
+    for layer in range(g.L):
+        vertex = LayerWeights(np.eye(g.L)[layer])
+        assert bounds.layer_partial_sums[layer] == pytest.approx(
+            cluster_partial_sums(g, asn, vertex), rel=1e-8
+        )
+    K = asn.K
+    assert bounds.universal_lb == bounds.layer_partial_sums.min() / ((K - 1) * asn.n_max)
 
 
 @given(seed=st.integers(0, 200))
