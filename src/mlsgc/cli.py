@@ -582,7 +582,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=None, help="homogeneity-test level")
     p.add_argument("--alpha", default=None, help="identical-noise test level (scalar or per-layer comma list)")
     p.add_argument("--alpha-prime", default=None, help="threshold test level (scalar or per-layer comma list)")
-    p.add_argument("--max-k", type=int, default=None, help="largest cluster count to try (default n//2)")
+    p.add_argument("--max-k", type=int, default=None,
+                   help="largest cluster count to try (default n//2); K also stops at isqrt of the component size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--normalize", action="store_true", help="degree-normalize unweighted layers first")
     p.set_defaults(func=_cmd_mimosa)

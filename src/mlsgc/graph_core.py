@@ -249,7 +249,9 @@ def parse_multilayer_edge_list(source: str | IO[str]) -> MultilayerGraph:
 
     Raises:
         EdgeListFormatError: wrong field count, non-numeric or non-positive
-            weight, bad layer index, or a self-loop (with the line number).
+            weight, bad layer index, a self-loop, or a node id that a label
+            file cannot carry: empty, or starting with whitespace or ``#``
+            (with the line number).
         DuplicateEdgeError: the same (layer, u, v) edge listed twice, in
             either orientation.
     """
@@ -289,6 +291,18 @@ def parse_multilayer_edge_list(source: str | IO[str]) -> MultilayerGraph:
         max_layer = max(max_layer, layer)
 
     node_ids = tuple(sorted({u for _, u, _, _ in entries} | {v for _, _, v, _ in entries}))
+    # parse_label_file strips lines and skips "#" lines, so it would lose these
+    # ids; they are checked once, and the lines rescanned only to name one
+    bad = {node for node in node_ids if node[:1].strip() in ("", "#")}
+    if bad:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            fields = line.split("\t") if "\t" in line else line.split()
+            named = [node for node in fields[1:3] if node in bad and not line.startswith("#")]
+            if named:
+                raise EdgeListFormatError(
+                    f"line {line_no}: node id {named[0]!r} must be non-empty and not start with whitespace or '#'"
+                )
     index = {node: i for i, node in enumerate(node_ids)}
     n = len(node_ids)
     n_layers = max_layer + 1

@@ -16,8 +16,10 @@ clustering must pass a battery of reliability tests:
 
 The first K with any surviving candidates wins; among its candidates, the
 one maximizing the signal-to-noise ratio (transition bound over aggregated
-noise) provides the final weights and clustering.  When no K up to the cap
-produces a reliable candidate, the result is marked not applicable.
+noise) provides the final weights and clustering.  Test 1 needs K^2 nodes,
+so K stops at the integer square root of the clustered component's size,
+or earlier at the user's cap.  When no K in that range produces a reliable
+candidate, the result is marked not applicable.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph_core import LayerWeights, MultilayerGraph, aggregate, connected_components
+from .graph_core import AggregatedGraph, LayerWeights, MultilayerGraph, aggregate, connected_components
 from .noise_stats import (
     anscombe_nonidentical_test,
     estimate_noise,
@@ -67,7 +69,9 @@ class MimosaConfig:
         alpha: identical-noise test level, one scalar for every layer or a
             per-layer sequence.
         alpha_prime: non-identical threshold test level, scalar or per-layer.
-        max_k: largest cluster count to try; None means ``n // 2``.
+        max_k: largest cluster count to try; None means ``n // 2``.  K also
+            stops at ``isqrt`` of the clustered component's size, since a
+            larger K cannot give every cluster K nodes.
         seed: root seed; the whole run is a pure function of (graph, config).
     """
 
@@ -138,9 +142,8 @@ class TraceRecord:
     """One logged step of the selection loop.
 
     ``tau`` is None on per-K initialization records.  ``outcome`` is one of
-    ``init_ok``, ``init_component_too_small``, ``component_too_small``,
-    ``degenerate_cluster``, ``homogeneity_reject``, ``reliable`` and
-    ``not_reliable``.
+    ``init_ok``, ``component_too_small``, ``degenerate_cluster``,
+    ``homogeneity_reject``, ``reliable`` and ``not_reliable``.
     """
 
     index: int
@@ -319,14 +322,6 @@ def run_mimosa(graph: MultilayerGraph, config: MimosaConfig | None = None) -> Mi
     )
 
 
-def _rng_for(seed: int, K: int, z: int, stage: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, K, z, stage]))
-
-
-def _kmeans_seed(seed: int, K: int, z: int) -> int:
-    return int(np.random.SeedSequence([seed, K, z, 1]).generate_state(1)[0])
-
-
 def _prepare_component(graph: MultilayerGraph, w: LayerWeights):
     """Aggregate and, when disconnected, restrict to the largest component.
 
@@ -357,27 +352,20 @@ def _mimosa_loop(
     trace: list[TraceRecord],
     reliable: list[ReliableCandidate],
 ) -> None:
-    for K in range(2, max_k + 1):
+    agg_ini, sub_ini, _, _, disc_ini = _prepare_component(graph, w_ini)
+    if disc_ini:
+        warnings.warn(
+            f"aggregated graph is disconnected; clustering its largest component "
+            f"({sub_ini.n} of {graph.n} nodes)",
+            stacklevel=3,
+        )
+    # K clusters of at least K nodes need K^2 nodes, and no tau's component is
+    # larger than this one: adapt_weights never makes a zero layer weight
+    # positive.  So no K above isqrt(component size) can be reliable.
+    for K in range(2, min(max_k, math.isqrt(sub_ini.n)) + 1):
         # Step 1: cluster with the initial weights.
-        agg_ini, sub_ini, _, _, disc_ini = _prepare_component(graph, w_ini)
-        if disc_ini:
-            warnings.warn(
-                f"aggregated graph is disconnected; clustering its largest component "
-                f"({sub_ini.n} of {graph.n} nodes)",
-                stacklevel=3,
-            )
-        if sub_ini.n < K + 1:
-            trace.append(TraceRecord(
-                index=len(trace), K=K, tau=None, w=tuple(w_ini.values),
-                outcome="init_component_too_small", disconnected=disc_ini,
-                component_size=sub_ini.n,
-            ))
-            continue
-
-        emb_ini = smallest_eigenpairs(agg_ini, K, rng=_rng_for(seed, K, 0, 0))
-        asg_ini = kmeans(emb_ini.Y, K, seed=_kmeans_seed(seed, K, 0))
-        est_ini = estimate_noise(sub_ini, asg_ini)
-        t_ini = est_ini.t_hat_layer
+        asg_ini = _embed_and_cluster(agg_ini, K, seed, 0)
+        t_ini = estimate_noise(sub_ini, asg_ini).t_hat_layer
         trace.append(TraceRecord(
             index=len(trace), K=K, tau=None, w=tuple(w_ini.values), outcome="init_ok",
             disconnected=disc_ini, component_size=sub_ini.n if disc_ini else None,
@@ -396,6 +384,19 @@ def _mimosa_loop(
                 found_at_k = True
         if found_at_k:
             return
+
+
+def _embed_and_cluster(agg: AggregatedGraph, K: int, seed: int, z: int) -> ClusterAssignment:
+    """Spectral embedding and K-means of one aggregated component.
+
+    ``z`` is the step within K: 0 for the initial weights, i for the i-th
+    tau.  Both random streams derive from (seed, K, z) alone, so every step
+    is reproducible on its own.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, K, z, 0]))
+    embedding = smallest_eigenpairs(agg, K, rng=rng)
+    kmeans_seed = int(np.random.SeedSequence([seed, K, z, 1]).generate_state(1)[0])
+    return kmeans(embedding.Y, K, seed=kmeans_seed)
 
 
 def _tau_iteration(
@@ -417,8 +418,7 @@ def _tau_iteration(
     if sub.n < K + 1:
         return TraceRecord(outcome="component_too_small", **base)
 
-    embedding = smallest_eigenpairs(agg, K, rng=_rng_for(seed, K, z, 0))
-    sub_assignment = kmeans(embedding.Y, K, seed=_kmeans_seed(seed, K, z))
+    sub_assignment = _embed_and_cluster(agg, K, seed, z)
     base["cluster_sizes"] = tuple(int(s) for s in sub_assignment.sizes)
 
     if sub_assignment.n_min < K:
@@ -513,31 +513,6 @@ def _decode(value):
     return value
 
 
-def _record_dict(record: TraceRecord) -> dict:
-    return {
-        "index": record.index,
-        "K": record.K,
-        "tau": record.tau,
-        "w": list(record.w) if record.w is not None else None,
-        "outcome": record.outcome,
-        "disconnected": record.disconnected,
-        "component_size": record.component_size,
-        "cluster_sizes": list(record.cluster_sizes) if record.cluster_sizes is not None else None,
-        "vtest_min_p": record.vtest_min_p,
-        "vtest_min_arg": list(record.vtest_min_arg) if record.vtest_min_arg is not None else None,
-        "t_hat_layers": list(record.t_hat_layers) if record.t_hat_layers is not None else None,
-        "t_max_layers": list(record.t_max_layers) if record.t_max_layers is not None else None,
-        "t_hat_w": record.t_hat_w,
-        "t_max_w": record.t_max_w,
-        "t_lb_hat": record.t_lb_hat,
-        "glrt_accepts": list(record.glrt_accepts) if record.glrt_accepts is not None else None,
-        "anscombe_accepts": list(record.anscombe_accepts) if record.anscombe_accepts is not None else None,
-        "route": record.route,
-        "reliable": record.reliable,
-        "snr": record.snr,
-    }
-
-
 def _candidate_dict(candidate: ReliableCandidate, node_ids: tuple[str, ...]) -> dict:
     return {
         "K": candidate.K,
@@ -567,7 +542,7 @@ def serialize_result(result: MimosaResult) -> str:
     """
     doc: dict = {
         "status": result.status,
-        "trace": [_record_dict(r) for r in result.trace],
+        "trace": [asdict(r) for r in result.trace],
     }
     if result.status == "found":
         doc["K"] = result.K

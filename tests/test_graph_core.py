@@ -95,6 +95,41 @@ def test_label_file_round_trip():
     assert mapping == {"a": "1", "b": "0", "c": "1"}
 
 
+UNLABELABLE_ID = "must be non-empty and not start with whitespace or '#'"
+
+
+def test_parse_rejects_id_starting_with_hash():
+    # a label file would read the line "#a\t0" as a comment
+    with pytest.raises(EdgeListFormatError) as info:
+        parse_multilayer_edge_list("0\ta\tb\t1\n0\t#a\tb\t1\n")
+    assert str(info.value) == f"line 2: node id '#a' {UNLABELABLE_ID}"
+
+
+def test_parse_rejects_empty_id():
+    with pytest.raises(EdgeListFormatError) as info:
+        parse_multilayer_edge_list("0\t\tb\t1\n")
+    assert str(info.value) == f"line 1: node id '' {UNLABELABLE_ID}"
+
+
+def test_parse_rejects_id_with_leading_whitespace():
+    # a label file would read " a" back as "a"
+    with pytest.raises(EdgeListFormatError) as info:
+        parse_multilayer_edge_list("# header\n0\ta\tb\t1\n0\tb\t a\t1\n")
+    assert str(info.value) == f"line 3: node id ' a' {UNLABELABLE_ID}"
+
+
+@given(u=st.text(max_size=4), v=st.text(max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_accepted_node_ids_survive_a_label_file(u, v):
+    try:
+        g = parse_multilayer_edge_list(f"0\t{u}\t{v}\t1\n")
+    except EdgeListFormatError:
+        return
+    labels = list(range(g.n))
+    mapping = parse_label_file(serialize_label_file(g.node_ids, labels))
+    assert mapping == {node: str(label) for node, label in zip(g.node_ids, labels)}
+
+
 # ------------------------------------------------------- graph invariants
 
 

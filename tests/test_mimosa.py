@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from mlsgc import (
     GeneralRimParams,
     LayerWeights,
     MimosaConfig,
+    MultilayerGraph,
     TwoLayerCorrelatedParams,
     adapt_weights,
     detectability,
@@ -274,3 +279,45 @@ def test_serialization_is_byte_identical_across_runs():
     doc1 = serialize_result(run_mimosa(graph, MimosaConfig(seed=5)))
     doc2 = serialize_result(run_mimosa(graph, MimosaConfig(seed=5)))
     assert doc1 == doc2
+
+
+# ------------------------------------------------------------- K range
+
+
+def _pure_noise_instance(seed):
+    """The n=60 pure-noise instance of the acceptance gate (two independent
+    Erdos-Renyi layers of density 0.25)."""
+    params = TwoLayerCorrelatedParams(
+        cluster_sizes=(60,), q11=0.0625, q10=0.1875, q01=0.1875, q00=0.5625,
+        p1=0.25, p2=0.25, seed=seed,
+    )
+    return generate_two_layer(params)[0]
+
+
+def test_k_stops_at_isqrt_of_the_component():
+    # K clusters of at least K nodes need K^2 nodes, so on 60 nodes no K
+    # above isqrt(60) = 7 can pass the cluster-size test; the default cap
+    # (n // 2 = 30) must give the same document as the cap 7
+    graph = _pure_noise_instance(600)
+    result = run_mimosa(graph, MimosaConfig(seed=0))
+    assert result.status == "not_applicable"
+    assert max(rec.K for rec in result.trace) == 7
+    capped = run_mimosa(graph, MimosaConfig(seed=0, max_k=math.isqrt(60)))
+    assert serialize_result(result) == serialize_result(capped)
+
+
+def test_disconnected_warning_is_issued_once_per_run():
+    # the pure-noise instance plus a separate two-node component
+    graph = _pure_noise_instance(600)
+    pair = sparse.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    extended = MultilayerGraph.from_matrices(
+        graph.node_ids + ("zz0", "zz1"),
+        [sparse.block_diag((layer, pair)) for layer in graph.layers],
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_mimosa(extended, MimosaConfig(seed=0, max_k=3))
+    assert max(rec.K for rec in result.trace) == 3
+    assert all(rec.disconnected for rec in result.trace)
+    messages = [str(w.message) for w in caught if "aggregated graph is disconnected" in str(w.message)]
+    assert messages == ["aggregated graph is disconnected; clustering its largest component (60 of 62 nodes)"]
