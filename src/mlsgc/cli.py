@@ -284,6 +284,8 @@ def _parse_axis(text: str, what: str) -> tuple[str, np.ndarray]:
         start, stop, step = (float(p) for p in parts[1:])
     except ValueError:
         raise ValueError(f"{what}: non-numeric axis bounds in {text!r}") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(f"{what}: start, stop and step must be finite in {text!r}")
     if step <= 0.0:
         raise ValueError(f"{what}: step must be positive, got {step}")
     if start > stop:

@@ -9,13 +9,17 @@ the layers into a single weighted graph using a convex combination
 Laplacian ``diag(strength) - W`` drives the spectral clustering pipeline.
 
 All types here are immutable after construction and safe for concurrent
-reads; construction is single-threaded.
+reads; construction is single-threaded.  An :class:`AggregatedGraph`
+computes its connected components on first use and keeps them: the type is
+frozen, so the memo cannot go stale, and two threads that race on the first
+read both store the same result, so concurrent reads stay harmless.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,6 +32,7 @@ __all__ = [
     "EdgeListFormatError",
     "LabelFileError",
     "LayerWeights",
+    "MAX_LAYERS",
     "MultilayerGraph",
     "aggregate",
     "connected_components",
@@ -226,6 +231,13 @@ class AggregatedGraph:
         """O(m) product of the Laplacian with a vector."""
         return self.strength * x - self.weight_matrix @ x
 
+    @cached_property
+    def _components(self) -> tuple[int, np.ndarray]:
+        """``csgraph.connected_components`` of the weight matrix, computed once."""
+        n_components, labels = csgraph.connected_components(self.weight_matrix, directed=False)
+        labels.setflags(write=False)
+        return n_components, labels
+
 
 # ---------------------------------------------------------------------------
 # Edge-list file format
@@ -233,8 +245,12 @@ class AggregatedGraph:
 # UTF-8 text, one edge per line: ``layer<TAB>u<TAB>v<TAB>weight`` where layer
 # is a 0-based integer, u/v are node identifier strings, and weight is a
 # positive decimal.  Lines beginning with ``#`` are comments.  The layer
-# count is max layer index + 1 (intermediate all-zero layers are allowed).
+# count is max layer index + 1 (intermediate all-zero layers are allowed);
+# a layer index must be below MAX_LAYERS, because every layer up to the
+# largest index is allocated.
 # ---------------------------------------------------------------------------
+
+MAX_LAYERS = 1024
 
 
 def parse_multilayer_edge_list(source: str | IO[str]) -> MultilayerGraph:
@@ -249,7 +265,8 @@ def parse_multilayer_edge_list(source: str | IO[str]) -> MultilayerGraph:
 
     Raises:
         EdgeListFormatError: wrong field count, non-numeric or non-positive
-            weight, bad layer index, a self-loop, or a node id that a label
+            weight, a layer index that is negative or at least
+            ``MAX_LAYERS``, a self-loop, or a node id that a label
             file cannot carry: empty, or starting with whitespace or ``#``
             (with the line number).
         DuplicateEdgeError: the same (layer, u, v) edge listed twice, in
@@ -275,6 +292,8 @@ def parse_multilayer_edge_list(source: str | IO[str]) -> MultilayerGraph:
             raise EdgeListFormatError(f"line {line_no}: layer index {layer_text!r} is not an integer") from None
         if layer < 0:
             raise EdgeListFormatError(f"line {line_no}: layer index must be >= 0, got {layer}")
+        if layer >= MAX_LAYERS:
+            raise EdgeListFormatError(f"line {line_no}: layer index must be < {MAX_LAYERS}, got {layer}")
         if u == v:
             raise EdgeListFormatError(f"line {line_no}: self-loop on node {u!r} is not allowed")
         try:
@@ -432,11 +451,14 @@ def aggregate(graph: MultilayerGraph, weights: LayerWeights) -> AggregatedGraph:
 def connected_components(g: AggregatedGraph) -> list[np.ndarray]:
     """Partition node indices by connectivity over positive-weight edges.
 
+    The labeling is computed on the first call for ``g`` and kept on it, so
+    later calls (such as the eigensolver's connectivity check) only split it.
+
     Returns:
         A list of sorted node-index arrays, ordered by each component's
         smallest node index (the discovery order over nodes 0..n-1).
     """
-    n_components, labels = csgraph.connected_components(g.weight_matrix, directed=False)
+    n_components, labels = g._components
     return [np.flatnonzero(labels == c) for c in range(n_components)]
 
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .graph_core import AggregatedGraph, LayerWeights, MultilayerGraph, aggregate, connected_components
 from .noise_stats import (
+    NoiseEstimates,
     anscombe_nonidentical_test,
     estimate_noise,
     glrt_identical_noise,
@@ -223,22 +224,18 @@ def _induced_subgraph(graph: MultilayerGraph, nodes: np.ndarray) -> MultilayerGr
     return MultilayerGraph.from_matrices(ids, [mat[nodes][:, nodes] for mat in graph.layers])
 
 
-def _vtest_scan(graph: MultilayerGraph, assignment: ClusterAssignment) -> tuple[float, tuple[int, int, int]]:
+def _vtest_scan(est: NoiseEstimates, assignment: ClusterAssignment) -> tuple[float, tuple[int, int, int]]:
     """Smallest homogeneity p-value over all ordered cluster pairs and layers.
 
-    Returns (min p, (i, j, layer)); ties keep the first in (layer, i, j)
-    scan order.
+    Block (i, j)'s row sums are ``est.row_counts`` at cluster i's rows and
+    column j.  Returns (min p, (i, j, layer)); ties keep the first in
+    (layer, i, j) scan order.
     """
     K = assignment.K
-    onehot = np.zeros((graph.n, K))
-    onehot[np.arange(graph.n), assignment.labels] = 1.0
     members = [assignment.members(k) for k in range(K)]
     sizes = assignment.sizes
     best_p, best_arg = np.inf, (0, 0, 0)
-    for layer, W in enumerate(graph.layers):
-        A = W.copy()
-        A.data = np.ones_like(A.data)
-        counts = A @ onehot  # counts[u, k] = edges from node u into cluster k
+    for layer, counts in enumerate(est.row_counts):
         for i in range(K):
             for j in range(K):
                 if i == j:
@@ -352,7 +349,8 @@ def _mimosa_loop(
     trace: list[TraceRecord],
     reliable: list[ReliableCandidate],
 ) -> None:
-    agg_ini, sub_ini, _, _, disc_ini = _prepare_component(graph, w_ini)
+    prepared_ini = _prepare_component(graph, w_ini)
+    agg_ini, sub_ini, _, _, disc_ini = prepared_ini
     if disc_ini:
         warnings.warn(
             f"aggregated graph is disconnected; clustering its largest component "
@@ -376,8 +374,10 @@ def _mimosa_loop(
         found_at_k = False
         for z, tau in enumerate(config.tau_set, start=1):
             w = adapt_weights(w_ini, t_ini, tau)
+            # equal weights give the init step's component (always so at tau = 0)
+            prepared = prepared_ini if w == w_ini else _prepare_component(graph, w)
             record = _tau_iteration(
-                graph, w, K, tau, len(trace), seed, z, alpha, alpha_prime, config.eta, reliable,
+                graph, prepared, w, K, tau, len(trace), seed, z, alpha, alpha_prime, config.eta, reliable,
             )
             trace.append(record)
             if record.reliable:
@@ -401,6 +401,7 @@ def _embed_and_cluster(agg: AggregatedGraph, K: int, seed: int, z: int) -> Clust
 
 def _tau_iteration(
     graph: MultilayerGraph,
+    prepared: tuple,
     w: LayerWeights,
     K: int,
     tau: float,
@@ -412,7 +413,7 @@ def _tau_iteration(
     eta: float,
     reliable: list[ReliableCandidate],
 ) -> TraceRecord:
-    agg, sub, component, others, disconnected = _prepare_component(graph, w)
+    agg, sub, component, others, disconnected = prepared
     base = dict(index=trace_index, K=K, tau=float(tau), w=tuple(w.values), disconnected=disconnected,
                 component_size=sub.n if disconnected else None)
     if sub.n < K + 1:
@@ -424,13 +425,13 @@ def _tau_iteration(
     if sub_assignment.n_min < K:
         return TraceRecord(outcome="degenerate_cluster", **base)
 
-    min_p, min_arg = _vtest_scan(sub, sub_assignment)
+    est = estimate_noise(sub, sub_assignment)
+    min_p, min_arg = _vtest_scan(est, sub_assignment)
     base["vtest_min_p"] = min_p
     base["vtest_min_arg"] = min_arg
     if min_p <= eta:
         return TraceRecord(outcome="homogeneity_reject", **base)
 
-    est = estimate_noise(sub, sub_assignment)
     sums = cluster_partial_sums(sub, sub_assignment, w)
     t_lb_hat = float(sums.min() / ((K - 1) * sub_assignment.n_max))
     t_hat_w = float(w.values @ est.t_hat_layer)

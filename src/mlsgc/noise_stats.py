@@ -78,6 +78,10 @@ class NoiseEstimates:
             (0 for a layer with no between-cluster edges).
         t_hat_layer: pooled noise level ``p_hat_layer * w_bar_layer``.
         t_max_layer: largest block noise level per layer.
+        row_counts: ``(L, n, K)`` array; ``row_counts[l, u, k]`` counts
+            the layer-``l`` edges between node ``u`` and cluster ``k``.
+            ``m`` sums its rows by cluster, and the row-sum homogeneity
+            test reads each block's row sums from it.
     """
 
     K: int
@@ -92,6 +96,7 @@ class NoiseEstimates:
     w_bar_layer: np.ndarray
     t_hat_layer: np.ndarray
     t_max_layer: np.ndarray
+    row_counts: np.ndarray
 
     @property
     def L(self) -> int:
@@ -113,7 +118,8 @@ def estimate_noise(graph: MultilayerGraph, assignment: ClusterAssignment) -> Noi
     """Estimate between-cluster edge probabilities and weights per layer.
 
     Uses one-hot projections ``H^T A H`` / ``H^T W H`` per layer, so the cost
-    is O(edges * K).
+    is O(edges * K); the node-to-cluster counts ``A H`` are kept as
+    ``row_counts``.
 
     Raises:
         ValueError: the assignment does not cover the graph, or K < 2.
@@ -135,12 +141,14 @@ def estimate_noise(graph: MultilayerGraph, assignment: ClusterAssignment) -> Noi
 
     m = np.empty((graph.L, P))
     weight_sum = np.empty((graph.L, P))
+    row_counts = np.empty((graph.L, graph.n, K))
     for layer, W in enumerate(graph.layers):
         WH = W @ onehot
         weight_blocks = onehot.T @ WH
         A = W.copy()
         A.data = np.ones_like(A.data)
-        count_blocks = onehot.T @ (A @ onehot)
+        row_counts[layer] = A @ onehot
+        count_blocks = onehot.T @ row_counts[layer]
         m[layer] = count_blocks[rows_i, rows_j]
         weight_sum[layer] = weight_blocks[rows_i, rows_j]
 
@@ -157,7 +165,7 @@ def estimate_noise(graph: MultilayerGraph, assignment: ClusterAssignment) -> Noi
     t_max_layer = t_hat_pair.max(axis=1)
 
     for arr in (sizes, m, weight_sum, p_hat, w_bar, t_hat_pair,
-                p_hat_layer, w_bar_layer, t_hat_layer, t_max_layer):
+                p_hat_layer, w_bar_layer, t_hat_layer, t_max_layer, row_counts):
         arr.setflags(write=False)
     return NoiseEstimates(
         K=K,
@@ -172,6 +180,7 @@ def estimate_noise(graph: MultilayerGraph, assignment: ClusterAssignment) -> Noi
         w_bar_layer=w_bar_layer,
         t_hat_layer=t_hat_layer,
         t_max_layer=t_max_layer,
+        row_counts=row_counts,
     )
 
 

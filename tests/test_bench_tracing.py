@@ -1,28 +1,57 @@
-"""The benchmark tracer still finds every library name it wraps."""
+"""The benchmark tracer still finds, and counts, every library name it wraps."""
 
 from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
 
-from mlsgc import mimosa
-from mlsgc.graph_core import AggregatedGraph
+import pytest
+
+from mlsgc import MimosaConfig, TwoLayerCorrelatedParams, generate_two_layer, run_mimosa
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_tracer_installs_and_restores_every_boundary():
-    # install() raises AttributeError when a refactor drops a name it wraps
+@pytest.fixture(scope="module")
+def tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    names = [(mimosa, "kmeans"), (mimosa, "smallest_eigenpairs"), (mimosa, "estimate_noise"),
-             (AggregatedGraph, "laplacian_matvec")]
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_every_boundary(tracing):
+    # install() raises AttributeError when a refactor drops a name it wraps
+    names = [(tracing._resolve(path), attr) for path, attr, _, _ in tracing.LIBRARY_BOUNDARIES]
     originals = [getattr(owner, attr) for owner, attr in names]
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        assert all(getattr(owner, attr) is not orig for (owner, attr), orig in zip(names, originals))
+        wrapped = [getattr(owner, attr) for owner, attr in names]
     finally:
         tracer.restore()
+    unwrapped = [f"{owner.__name__}.{attr}" for (owner, attr), orig, now in zip(names, originals, wrapped)
+                 if now is orig]
+    assert unwrapped == []
     assert all(getattr(owner, attr) is orig for (owner, attr), orig in zip(names, originals))
+
+
+def test_traced_mimosa_run_counts_every_stage(tracing):
+    # a refactor that calls a stage under a name the tracer does not wrap
+    # would make its counter read 0 instead of failing
+    params = TwoLayerCorrelatedParams(
+        cluster_sizes=(100, 100, 100), q11=0.3, q10=0.2, q01=0.1, q00=0.4,
+        p1=0.25, p2=0.25, seed=42,
+    )
+    graph, _ = generate_two_layer(params)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        result = run_mimosa(graph, MimosaConfig(seed=0, max_k=3))
+    finally:
+        tracer.restore()
+    assert result.status == "found"
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
+    stages = ("graph_core.aggregate", "graph_core.components", "spectral.eigensolve", "spectral.kmeans",
+              "noise_stats.estimate", "noise_stats.vtest", "theory.partial_sums")
+    assert {stage: metrics[f"{stage}_calls"] > 0 for stage in stages} == dict.fromkeys(stages, True)

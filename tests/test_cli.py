@@ -282,6 +282,17 @@ def test_sweep_rejects_unknown_axis(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("axis", ["p1:0:inf:0.1", "p1:0:nan:0.1", "p1:-inf:0.2:0.1", "p1:0:0.2:inf"])
+def test_sweep_rejects_non_finite_axis(tmp_path, capsys, axis):
+    # an infinite stop used to end in an OverflowError traceback, a nan stop
+    # in "cannot convert float NaN to integer"
+    spec = write(tmp_path / "bad.cfg", SWEEP_SPEC.replace("p1:0.1:0.1:0.05", axis))
+    code, out, err = run_cli(capsys, "sweep", spec)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: axis: start, stop and step must be finite in {axis!r}\n"
+
+
 def test_sweep_is_deterministic(tmp_path, capsys):
     spec = write(tmp_path / "sweep.cfg", SWEEP_SPEC)
     outputs = []
@@ -407,6 +418,14 @@ def test_missing_file_is_validation_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "cluster", str(tmp_path / "nope.tsv"), "--k", "2")
     assert code == 2
     assert "error:" in err
+
+
+def test_cluster_rejects_a_layer_index_at_the_limit(tmp_path, capsys):
+    edges = write(tmp_path / "huge_layer.tsv", f"{10**9}\ta\tb\t1\n")
+    code, out, err = run_cli(capsys, "cluster", edges, "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line 1: layer index must be < 1024, got {10**9}\n"
 
 
 # --------------------------------------------------- numerical failure

@@ -24,6 +24,7 @@ from mlsgc import (
     serialize_multilayer_edge_list,
     within_cluster_laplacians,
 )
+from mlsgc.graph_core import MAX_LAYERS
 
 from .conftest import adjacency_from_edges, balanced_assignment, dense_graph, ids, random_multilayer
 
@@ -52,6 +53,24 @@ def test_parse_empty_middle_layer():
     # downstream ops tolerate the zero layer
     agg = aggregate(g, LayerWeights.uniform(3))
     assert agg.weight_matrix[0, 1] == pytest.approx(1.0)
+
+
+def test_parse_rejects_layer_index_at_the_limit():
+    # every layer up to the largest index is allocated, so a huge index must
+    # fail before any allocation
+    with pytest.raises(EdgeListFormatError) as info:
+        parse_multilayer_edge_list(f"{10**9} a b 1.0\n0 a c 1.0\n")
+    assert str(info.value) == f"line 1: layer index must be < 1024, got {10**9}"
+    with pytest.raises(EdgeListFormatError) as info:
+        parse_multilayer_edge_list(f"0 a b 1.0\n{MAX_LAYERS} a b 1.0\n")
+    assert str(info.value) == f"line 2: layer index must be < {MAX_LAYERS}, got {MAX_LAYERS}"
+
+
+def test_parse_accepts_the_largest_layer_index():
+    g = parse_multilayer_edge_list(f"{MAX_LAYERS - 1} a b 1.0\n")
+    assert g.L == MAX_LAYERS
+    assert g.layers[-1][0, 1] == 1.0
+    assert all(mat.nnz == 0 for mat in g.layers[:-1])
 
 
 def test_parse_duplicate_edge_rejected():

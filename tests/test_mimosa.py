@@ -25,7 +25,9 @@ from mlsgc import (
     run_mimosa,
     serialize_result,
     snr,
+    vtest_homogeneity,
 )
+from mlsgc import mimosa
 
 
 # --------------------------------------------------------- adapt_weights
@@ -154,6 +156,54 @@ def test_determinism(reliable_three_cluster_result):
     assert again.w_star.values == pytest.approx(result.w_star.values)
     assert again.snr == result.snr
     assert serialize_result(again) == serialize_result(result)
+
+
+def test_reliable_vtest_fields_match_dense_blocks(reliable_three_cluster_result):
+    # the V-scan reads its row sums from the noise estimates; recompute every
+    # block's p-value from the dense 0/1 layer instead
+    graph, _, result = reliable_three_cluster_result
+    adjacency = [W.toarray() > 0 for W in graph.layers]
+    assert result.reliable_set
+    for candidate in result.reliable_set:
+        asg = candidate.assignment
+        members = [asg.members(k) for k in range(asg.K)]
+        best_p, best_arg = np.inf, None
+        for layer, A in enumerate(adjacency):
+            for i in range(asg.K):
+                for j in range(asg.K):
+                    if i == j:
+                        continue
+                    block = A[np.ix_(members[i], members[j])]
+                    p = vtest_homogeneity(block, members[i].size, members[j].size)
+                    if p < best_p:
+                        best_p, best_arg = p, (i, j, layer)
+        record = result.trace[candidate.trace_index]
+        assert record.vtest_min_p == best_p
+        assert record.vtest_min_arg == best_arg
+
+
+def test_each_candidate_aggregates_and_counts_blocks_once(reliable_three_cluster_result, monkeypatch):
+    # tau = 0 leaves w_ini unchanged, so it reuses the initial component:
+    # one aggregation per run plus one per tau > 0 and K; one noise
+    # estimate per K plus one per candidate that reaches the V-scan
+    graph, _, expected = reliable_three_cluster_result
+    counts = {"aggregate": 0, "estimate_noise": 0}
+    for name in counts:
+        real = getattr(mimosa, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(mimosa, name, counted)
+    result = run_mimosa(graph, MimosaConfig(seed=0))
+    assert serialize_result(result) == serialize_result(expected)
+    assert not any(rec.disconnected for rec in result.trace)
+    n_k = sum(rec.tau is None for rec in result.trace)
+    scanned = sum(rec.vtest_min_p is not None for rec in result.trace)
+    assert n_k == 2
+    assert counts["aggregate"] == 1 + (len(MimosaConfig().tau_set) - 1) * n_k
+    assert counts["estimate_noise"] == n_k + scanned
 
 
 def test_very_sparse_noise_stops_at_a_clean_merge():

@@ -21,7 +21,7 @@ from mlsgc import (
     vtest_homogeneity,
 )
 
-from .conftest import balanced_assignment, dense_graph, ids
+from .conftest import balanced_assignment, dense_graph, ids, random_multilayer
 
 
 def block_graph(between, sizes, within_value=0.0):
@@ -123,6 +123,22 @@ def test_estimate_noise_on_rim_generator_recovers_levels():
     assert est.p_hat_layer[0] == pytest.approx(0.10, abs=3 * math.sqrt(0.1 * 0.9 / 19200))
     assert est.p_hat_layer[1] == pytest.approx(0.25, abs=3 * math.sqrt(0.25 * 0.75 / 19200))
     assert est.t_hat_layer == pytest.approx(est.p_hat_layer)  # unit weights
+
+
+def test_row_counts_match_the_dense_oracle():
+    rng = np.random.default_rng(21)
+    g = random_multilayer(rng, 30, 3, density=0.3)
+    asn = ClusterAssignment(rng.permutation(np.arange(30) % 4))
+    est = estimate_noise(g, asn)
+    onehot = np.eye(4)[asn.labels]
+    assert est.row_counts.shape == (3, 30, 4)
+    assert not est.row_counts.flags.writeable
+    for layer, W in enumerate(g.layers):
+        oracle = (W.toarray() > 0) @ onehot
+        assert np.array_equal(est.row_counts[layer], oracle)
+        # m is the row counts summed over each pair's rows
+        for idx, (i, j) in enumerate(est.pairs):
+            assert est.m[layer, idx] == oracle[asn.labels == i, j].sum()
 
 
 # ------------------------------------------------------------------ V-test

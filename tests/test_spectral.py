@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlsgc import spectral
+from mlsgc import graph_core, spectral
 from mlsgc import (
     ClusterAssignment,
     ConvergenceError,
@@ -16,6 +18,7 @@ from mlsgc import (
     SpectralEmbedding,
     TwoLayerCorrelatedParams,
     aggregate,
+    connected_components,
     detectability,
     generate_two_layer,
     kmeans,
@@ -86,6 +89,25 @@ def test_disconnected_graph_rejected(two_triangles):
     agg = aggregate(two_triangles, LayerWeights.uniform(1))
     with pytest.raises(DisconnectedGraphError):
         smallest_eigenpairs(agg, 2)
+
+
+def test_eigensolve_reuses_the_components_of_its_graph(clique_pair_graph, monkeypatch):
+    # MIMOSA checks connectivity before it solves; the solver's own check
+    # then reads the components the aggregated graph already holds
+    real = graph_core.csgraph.connected_components
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph_core, "csgraph", SimpleNamespace(connected_components=counted))
+    agg = aggregate(clique_pair_graph, LayerWeights.uniform(1))
+    assert len(connected_components(agg)) == 1
+    assert len(calls) == 1
+    smallest_eigenpairs(agg, 2)
+    smallest_eigenpairs(agg, 3)
+    assert len(calls) == 1
 
 
 def test_k_out_of_range_rejected(triangle):
