@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import chain, compress, repeat
+from typing import IO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -93,9 +94,9 @@ class MultilayerGraph:
 
     Attributes:
         node_ids: ordered external string identifiers; the storage order of
-            every matrix row/column.  Assigned by lexicographic sort when
-            parsing files, so embeddings and seeds are reproducible
-            regardless of file row order.
+            every matrix row/column.  Assigned in code-point order (Python
+            ``sorted``) when parsing files, so embeddings and seeds are
+            reproducible regardless of file row order.
         layers: per-layer ``n x n`` canonical CSR weight matrices (symmetric,
             zero diagonal, entries > 0 exactly where edges exist).  All-zero
             layers are permitted; they simply contribute nothing to any
@@ -256,9 +257,12 @@ MAX_LAYERS = 1024
 def parse_multilayer_edge_list(source: str | IO[str]) -> MultilayerGraph:
     """Parse a multilayer edge-list file into a :class:`MultilayerGraph`.
 
-    Node indices are assigned by lexicographic sort of all distinct node
-    identifiers, independent of row order.  Each undirected edge is stored
-    symmetrically.
+    Node indices are assigned by code-point order of all distinct node
+    identifiers (Python ``sorted``), independent of row order.  Each
+    undirected edge is stored symmetrically.  The text is tokenized in
+    pieces into numeric columns, so memory grows about linearly in the
+    number of edges; a file that fails any check is read again line by line
+    to name the first offending line.
 
     Args:
         source: the file text, or a readable text stream.
@@ -273,9 +277,125 @@ def parse_multilayer_edge_list(source: str | IO[str]) -> MultilayerGraph:
             either orientation.
     """
     text = source.read() if hasattr(source, "read") else source
-    entries: list[tuple[int, str, str, float]] = []
+    parsed = _edge_columns(text)
+    if parsed is None:
+        _raise_first_error(text)
+    node_ids, edges = parsed
+    n = len(node_ids)
+    matrices = [
+        sparse.coo_array((np.concatenate((w, w)), (np.concatenate((u, v)), np.concatenate((v, u)))), shape=(n, n))
+        for u, v, w in edges
+    ]
+    return MultilayerGraph.from_matrices(node_ids, matrices)
+
+
+# Characters per piece of text; a piece ends just after a "\n", which is also
+# a splitlines boundary ("\r\n" stays whole).  Per-line strings live for one
+# piece at a time.
+_PIECE_CHARS = 1 << 20
+
+
+def _pieces(text: str) -> Iterator[str]:
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _PIECE_CHARS - 1)
+        end = len(text) if cut < 0 else cut + 1
+        yield text[start:end]
+        start = end
+
+
+def _piece_columns(piece: str, codes: dict[str, int]) -> tuple[np.ndarray, ...] | None:
+    """Layer, provisional u and v codes, and weight of each edge in ``piece``.
+
+    ``codes`` maps node ids to provisional codes and gains this piece's new
+    ids.  Returns None when a record has the wrong field count; ``int`` and
+    ``float`` raise ValueError on a bad number, and ``np.fromiter``
+    OverflowError on a layer index outside int64.
+    """
+    records = [line for line in map(str.strip, piece.splitlines()) if line and line[0] != "#"]
+    tabs = list(map(str.count, records, repeat("\t")))
+    tabbed = tabs.count(3)
+    if tabbed + tabs.count(0) != len(tabs):
+        return None
+    fields = "\t".join(compress(records, map((3).__eq__, tabs))).split("\t") if tabbed else []
+    if tabbed < len(records):
+        # records without a tab split on any whitespace; files rarely have them
+        spaced = list(map(str.split, compress(records, map((0).__eq__, tabs))))
+        if any(len(split) != 4 for split in spaced):
+            return None
+        fields.extend(chain.from_iterable(spaced))
+    m = len(fields) // 4
+    us, vs = fields[1::4], fields[2::4]
+    new = [node for node in set(us).union(vs) if node not in codes]
+    codes.update(zip(new, range(len(codes), len(codes) + len(new))))
+    return (
+        np.fromiter(map(int, fields[0::4]), np.int64, m),
+        np.fromiter(map(codes.__getitem__, us), np.int64, m),
+        np.fromiter(map(codes.__getitem__, vs), np.int64, m),
+        np.fromiter(map(float, fields[3::4]), np.float64, m),
+    )
+
+
+def _edge_columns(text: str) -> tuple[tuple[str, ...], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] | None:
+    """Sorted node ids and, per layer, the (u, v, weight) columns of its edges.
+
+    ``u`` and ``v`` index the node ids.  Returns None when any check of the
+    parser fails.
+    """
+    codes: dict[str, int] = {}
+    parts = []
+    try:
+        for piece in _pieces(text):
+            columns = _piece_columns(piece, codes)
+            if columns is None:
+                return None
+            parts.append(columns)
+    except (ValueError, OverflowError):
+        return None
+    if not parts:
+        return (), []
+    layer, u, v, weight = map(np.concatenate, zip(*parts))
+    node_ids = tuple(sorted(codes))
+    n = len(node_ids)
+    if any(map(_unlabelable, node_ids)):
+        return None
+    if layer.size and (layer.min() < 0 or layer.max() >= MAX_LAYERS):
+        return None
+    if np.any(u == v) or not (np.all(np.isfinite(weight)) and np.all(weight > 0.0)):
+        return None
+    position = np.empty(n, np.int64)
+    position[np.fromiter(map(codes.__getitem__, node_ids), np.int64, n)] = np.arange(n)
+    u, v = position[u], position[v]
+    # layers are below MAX_LAYERS <= 2**15, so this stable sort is a radix sort
+    order = np.argsort(layer.astype(np.int16), kind="stable")
+    n_layers = int(layer.max()) + 1 if layer.size else 0
+    bounds = np.searchsorted(layer[order], np.arange(n_layers + 1))
+    # n is at most twice the edge count, so lo * n + hi cannot overflow int64
+    pair = np.minimum(u, v) * n + np.maximum(u, v)
+    edges = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        keys = np.sort(pair[order[a:b]])
+        if np.any(keys[1:] == keys[:-1]):
+            return None
+        edges.append((u[order[a:b]], v[order[a:b]], weight[order[a:b]]))
+    return node_ids, edges
+
+
+def _unlabelable(node: str) -> bool:
+    """Whether a label file would lose ``node``: parse_label_file strips
+    lines and skips "#" lines."""
+    return node[:1].strip() in ("", "#")
+
+
+def _raise_first_error(text: str) -> NoReturn:
+    """Raise the error of the first offending line of a rejected edge list.
+
+    Rows are checked in file order, so the message and line number are the
+    first the file earns; a node id a label file cannot carry is reported
+    only when no row fails another check.
+    """
     seen: set[tuple[int, str, str]] = set()
-    max_layer = -1
+    unlabelable: tuple[int, str] | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -306,40 +426,15 @@ def parse_multilayer_edge_list(source: str | IO[str]) -> MultilayerGraph:
         if key in seen:
             raise DuplicateEdgeError(f"line {line_no}: duplicate edge {key[1]!r}-{key[2]!r} in layer {layer}")
         seen.add(key)
-        entries.append((layer, u, v, weight))
-        max_layer = max(max_layer, layer)
-
-    node_ids = tuple(sorted({u for _, u, _, _ in entries} | {v for _, _, v, _ in entries}))
-    # parse_label_file strips lines and skips "#" lines, so it would lose these
-    # ids; they are checked once, and the lines rescanned only to name one
-    bad = {node for node in node_ids if node[:1].strip() in ("", "#")}
-    if bad:
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            fields = line.split("\t") if "\t" in line else line.split()
-            named = [node for node in fields[1:3] if node in bad and not line.startswith("#")]
-            if named:
-                raise EdgeListFormatError(
-                    f"line {line_no}: node id {named[0]!r} must be non-empty and not start with whitespace or '#'"
-                )
-    index = {node: i for i, node in enumerate(node_ids)}
-    n = len(node_ids)
-    n_layers = max_layer + 1
-
-    rows: list[list[int]] = [[] for _ in range(n_layers)]
-    cols: list[list[int]] = [[] for _ in range(n_layers)]
-    data: list[list[float]] = [[] for _ in range(n_layers)]
-    for layer, u, v, weight in entries:
-        ui, vi = index[u], index[v]
-        rows[layer].extend((ui, vi))
-        cols[layer].extend((vi, ui))
-        data[layer].extend((weight, weight))
-
-    matrices = [
-        sparse.coo_array((data[layer], (rows[layer], cols[layer])), shape=(n, n))
-        for layer in range(n_layers)
-    ]
-    return MultilayerGraph.from_matrices(node_ids, matrices)
+        named = [node for node in (u, v) if _unlabelable(node)]
+        if named and unlabelable is None:
+            unlabelable = (line_no, named[0])
+    if unlabelable is not None:
+        line_no, node = unlabelable
+        raise EdgeListFormatError(
+            f"line {line_no}: node id {node!r} must be non-empty and not start with whitespace or '#'"
+        )
+    raise AssertionError("the columnar checks rejected an edge list that every line check accepts")
 
 
 def serialize_multilayer_edge_list(graph: MultilayerGraph) -> str:

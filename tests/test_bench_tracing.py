@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import mlsgc.cli
 from mlsgc import MimosaConfig, TwoLayerCorrelatedParams, generate_two_layer, run_mimosa
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -55,3 +56,19 @@ def test_traced_mimosa_run_counts_every_stage(tracing):
     stages = ("graph_core.aggregate", "graph_core.components", "spectral.eigensolve", "spectral.kmeans",
               "noise_stats.estimate", "noise_stats.vtest", "theory.partial_sums")
     assert {stage: metrics[f"{stage}_calls"] > 0 for stage in stages} == dict.fromkeys(stages, True)
+
+
+def test_traced_cli_run_records_one_parse(tracing, tmp_path, capsys):
+    # the tracer wraps the parser under the name the CLI calls it by; calling
+    # it under another name would make graph_core.parse_s read 0
+    triangles = ["a\tb", "b\tc", "a\tc", "d\te", "e\tf", "d\tf", "c\td"]
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("".join(f"0\t{pair}\t1.0\n" for pair in triangles), encoding="utf-8")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = mlsgc.cli.main(["cluster", str(edges), "--k", "2"])
+    finally:
+        tracer.restore()
+    assert code == 0, capsys.readouterr().err
+    assert [name for name, *_ in tracer.spans].count("graph_core.parse") == 1

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import io
+import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from mlsgc import (
     AggregatedGraph,
@@ -24,6 +28,7 @@ from mlsgc import (
     serialize_multilayer_edge_list,
     within_cluster_laplacians,
 )
+from mlsgc import graph_core
 from mlsgc.graph_core import MAX_LAYERS
 
 from .conftest import adjacency_from_edges, balanced_assignment, dense_graph, ids, random_multilayer
@@ -108,6 +113,19 @@ def test_node_order_is_lexicographic_not_file_order():
     assert g.node_ids == ("alpha", "beta", "zeta")
 
 
+def test_node_order_is_code_point_order_for_non_ascii_ids():
+    names = ["é", "Z", "a", "ß", "ǅ", "\U0001F600"]
+    # a cycle through the ids in file order, each edge with its own weight
+    edges = [(names[i], names[(i + 1) % len(names)], float(i + 1)) for i in range(len(names))]
+    g = parse_multilayer_edge_list("".join(f"0\t{u}\t{v}\t{w}\n" for u, v, w in edges))
+    assert g.node_ids == tuple(sorted(names)) == ("Z", "a", "ß", "é", "ǅ", "\U0001F600")
+    position = {node: i for i, node in enumerate(g.node_ids)}
+    expected = np.zeros((len(names), len(names)))
+    for u, v, w in edges:
+        expected[position[u], position[v]] = expected[position[v], position[u]] = w
+    assert np.array_equal(g.layers[0].toarray(), expected)
+
+
 def test_label_file_round_trip():
     text = serialize_label_file(["a", "b", "c"], [1, 0, 1])
     mapping = parse_label_file(text)
@@ -147,6 +165,209 @@ def test_accepted_node_ids_survive_a_label_file(u, v):
     labels = list(range(g.n))
     mapping = parse_label_file(serialize_label_file(g.node_ids, labels))
     assert mapping == {node: str(label) for node, label in zip(g.node_ids, labels)}
+
+
+def reference_parse(source):
+    """The line-loop parser the columnar one replaced, verbatim: the oracle."""
+    text = source.read() if hasattr(source, "read") else source
+    entries: list[tuple[int, str, str, float]] = []
+    seen: set[tuple[int, str, str]] = set()
+    max_layer = -1
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t") if "\t" in line else line.split()
+        if len(fields) != 4:
+            raise EdgeListFormatError(
+                f"line {line_no}: expected 4 fields (layer, u, v, weight), got {len(fields)}"
+            )
+        layer_text, u, v, weight_text = fields
+        try:
+            layer = int(layer_text)
+        except ValueError:
+            raise EdgeListFormatError(f"line {line_no}: layer index {layer_text!r} is not an integer") from None
+        if layer < 0:
+            raise EdgeListFormatError(f"line {line_no}: layer index must be >= 0, got {layer}")
+        if layer >= MAX_LAYERS:
+            raise EdgeListFormatError(f"line {line_no}: layer index must be < {MAX_LAYERS}, got {layer}")
+        if u == v:
+            raise EdgeListFormatError(f"line {line_no}: self-loop on node {u!r} is not allowed")
+        try:
+            weight = float(weight_text)
+        except ValueError:
+            raise EdgeListFormatError(f"line {line_no}: weight {weight_text!r} is not numeric") from None
+        if not math.isfinite(weight) or weight <= 0.0:
+            raise EdgeListFormatError(f"line {line_no}: weight must be a positive finite number, got {weight_text}")
+        key = (layer, u, v) if u < v else (layer, v, u)
+        if key in seen:
+            raise DuplicateEdgeError(f"line {line_no}: duplicate edge {key[1]!r}-{key[2]!r} in layer {layer}")
+        seen.add(key)
+        entries.append((layer, u, v, weight))
+        max_layer = max(max_layer, layer)
+
+    node_ids = tuple(sorted({u for _, u, _, _ in entries} | {v for _, _, v, _ in entries}))
+    # parse_label_file strips lines and skips "#" lines, so it would lose these
+    # ids; they are checked once, and the lines rescanned only to name one
+    bad = {node for node in node_ids if node[:1].strip() in ("", "#")}
+    if bad:
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            fields = line.split("\t") if "\t" in line else line.split()
+            named = [node for node in fields[1:3] if node in bad and not line.startswith("#")]
+            if named:
+                raise EdgeListFormatError(
+                    f"line {line_no}: node id {named[0]!r} must be non-empty and not start with whitespace or '#'"
+                )
+    index = {node: i for i, node in enumerate(node_ids)}
+    n = len(node_ids)
+    n_layers = max_layer + 1
+
+    rows: list[list[int]] = [[] for _ in range(n_layers)]
+    cols: list[list[int]] = [[] for _ in range(n_layers)]
+    data: list[list[float]] = [[] for _ in range(n_layers)]
+    for layer, u, v, weight in entries:
+        ui, vi = index[u], index[v]
+        rows[layer].extend((ui, vi))
+        cols[layer].extend((vi, ui))
+        data[layer].extend((weight, weight))
+
+    matrices = [
+        sparse.coo_array((data[layer], (rows[layer], cols[layer])), shape=(n, n))
+        for layer in range(n_layers)
+    ]
+    return MultilayerGraph.from_matrices(node_ids, matrices)
+
+
+def parse_outcome(parse, text):
+    """The parsed graph, or the type and message of the error raised."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Field and layout pools.  A "bad" value breaks the line it is in.
+GOOD_LAYERS = ["0", "1", "2", "+1", "01", "1_0", "\u0663"]
+BAD_LAYERS = ["-1", str(MAX_LAYERS), str(10**30), str(-10**30), "x", "1.0"]
+GOOD_IDS = ["a", "b", "c", "Z", "é", "ß", "ǅ", "\U0001F600"]
+BAD_IDS = ["", " a", "#a", "a b", "a\tb"]
+GOOD_WEIGHTS = ["1", "2.5", "0.5", "1e3", "1_0", "\u0663"]
+BAD_WEIGHTS = ["1e-400", "inf", "-inf", "nan", "-0", "0", "x"]
+SPACES = [" ", "  ", "\u3000", "\xa0", "\x1f", " \u2003 "]
+BAD_GAPS = ["\x0b", "\u2028", " \t", "\t\t"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+PADS = ["", " ", "\t", "\u3000"]
+OTHER_LINES = ["", "   ", "# comment", "  #\tindented\tcomment", "\u3000", "#"]
+# the bad values of each slot of a record: layer, gap, u, gap, v, gap, weight
+BAD_SLOTS = [BAD_LAYERS, BAD_GAPS, BAD_IDS, BAD_GAPS, BAD_IDS, BAD_GAPS, BAD_WEIGHTS]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text with at most one bad value or self-loop in one record.
+
+    Duplicate edges come from the small id pool.
+    """
+    lines = []
+    records = []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(("", [draw(st.sampled_from(OTHER_LINES))], ""))
+            continue
+        gaps = ["\t"] if draw(st.booleans()) else SPACES
+        u = draw(st.sampled_from(GOOD_IDS))
+        v = draw(st.sampled_from([node for node in GOOD_IDS if node != u]))
+        record = [draw(st.sampled_from(GOOD_LAYERS))]
+        for field in (u, v, draw(st.sampled_from(GOOD_WEIGHTS))):
+            record += [draw(st.sampled_from(gaps)), field]
+        records.append(record)
+        lines.append((draw(st.sampled_from(PADS)), record, draw(st.sampled_from(PADS))))
+    if records and draw(st.booleans()):
+        record = draw(st.sampled_from(records))
+        slot = draw(st.integers(0, len(BAD_SLOTS)))
+        if slot == len(BAD_SLOTS):
+            record[4] = record[2]  # a self-loop
+        else:
+            record[slot] = draw(st.sampled_from(BAD_SLOTS[slot]))
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(pad + "".join(record) + trail + end for (pad, record, trail), end in zip(lines, ends))
+
+
+@given(text=edge_list_texts(), piece_chars=st.integers(1, 24))
+@example(text="+1\ta\tb\t1\r\n01 b c 2\x0b\u0663\u3000a\u3000c\u30001_0\u2028", piece_chars=1)
+@example(text="0 a b 1\n0\tb\ta\t2\n", piece_chars=8)
+@example(text="0\ta\tb\t1e-400\n", piece_chars=1)
+@example(text="0 a b -0\r\n", piece_chars=1)
+@example(text="0 a b nan\n", piece_chars=1)
+@example(text=f"{10**30}\ta\tb\t1\n", piece_chars=1)
+@settings(max_examples=500, deadline=None)
+def test_parse_matches_the_line_loop_oracle(text, piece_chars):
+    # small pieces make every text span several of them
+    with mock.patch.object(graph_core, "_PIECE_CHARS", piece_chars):
+        got = parse_outcome(parse_multilayer_edge_list, text)
+    want = parse_outcome(reference_parse, text)
+    if isinstance(want, MultilayerGraph):
+        assert isinstance(got, MultilayerGraph) and got == want
+    else:
+        assert got == want
+
+
+def large_edge_list(n_nodes=600, n_layers=3, density=0.3, seed=0):
+    """A valid tab-separated edge list of about 2.9 M characters."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n_nodes, 1)
+    lines = []
+    for layer in range(n_layers):
+        keep = rng.random(iu.size) < density
+        lines += [f"{layer}\tn{i:04d}\tn{j:04d}\t1.0" for i, j in zip(iu[keep], ju[keep])]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def large_text():
+    text = large_edge_list()
+    assert len(text) > 2 * graph_core._PIECE_CHARS
+    return text
+
+
+def test_parse_allocation_is_bounded_by_a_multiple_of_the_text(large_text):
+    # the columnar parser peaks at about 8x the text length on this file; a
+    # parser that keeps Python objects per line (a tuple, a key, boxed
+    # numbers) peaks at about 27x
+    tracemalloc.start()
+    try:
+        g = parse_multilayer_edge_list(large_text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(mat.nnz for mat in g.layers) == 2 * large_text.count("\n")
+    assert peak < 12 * len(large_text)
+
+
+def test_parse_names_a_duplicate_whose_copies_lie_in_different_pieces(large_text):
+    first = large_text.split("\n", 1)[0]
+    layer, u, v, _ = first.split("\t")
+    text = large_text + f"{layer}\t{v}\t{u}\t2.5\n"
+    with pytest.raises(DuplicateEdgeError) as info:
+        parse_multilayer_edge_list(text)
+    assert str(info.value) == f"line {text.count(chr(10))}: duplicate edge {u!r}-{v!r} in layer {layer}"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("0\tn0001\tn0002", "expected 4 fields (layer, u, v, weight), got 3"),
+    ("0\tn0001\tn0002\tx", "weight 'x' is not numeric"),
+    (f"{10**30}\tn0001\tn0002\t1.0", f"layer index must be < {MAX_LAYERS}, got {10**30}"),
+])
+def test_parse_names_a_malformed_line_deep_in_a_large_file(large_text, bad, message):
+    lines = large_text.split("\n")
+    deep = len(lines) * 2 // 3
+    lines[deep - 1] = bad
+    with pytest.raises(EdgeListFormatError) as info:
+        parse_multilayer_edge_list("\n".join(lines))
+    assert str(info.value) == f"line {deep}: {message}"
 
 
 # ------------------------------------------------------- graph invariants
