@@ -13,9 +13,11 @@ Conventions shared by all subcommands:
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
-from typing import IO, Sequence
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
@@ -47,12 +49,13 @@ __all__ = ["main"]
 def parse_config(text: str) -> dict[str, str]:
     """Parse flat ``key=value`` configuration text.
 
-    Blank lines and ``#`` comments are skipped; keys may not repeat.
+    Everything from the first ``#`` on a line is a comment; blank lines are
+    skipped; keys may not repeat.
     """
     out: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line {line_no}: expected key=value, got {line!r}")
@@ -67,52 +70,35 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def _float_list(text: str, what: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise ValueError(f"{what}: expected comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{what}: empty list")
-    return values
-
-
-def _int_list(text: str, what: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise ValueError(f"{what}: expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{what}: empty list")
-    return values
-
-
-def _require(config: dict[str, str], key: str, what: str) -> str:
-    if key not in config:
-        raise ValueError(f"{what}: missing required key {key!r}")
-    return config[key]
-
-
-def _config_float(config: dict[str, str], key: str, what: str, default: float | None = None) -> float:
+def _read(config: dict[str, str], key: str, what: str, convert=str, default=None):
+    """``convert(config[key])`` (``str``, ``int`` or ``float``); a key with no
+    ``default`` is required."""
     if key not in config:
         if default is None:
             raise ValueError(f"{what}: missing required key {key!r}")
         return default
     try:
-        return float(config[key])
+        return convert(config[key])
     except ValueError:
-        raise ValueError(f"{what}: key {key!r} is not a number: {config[key]!r}") from None
+        kind = "an integer" if convert is int else "a number"
+        raise ValueError(f"{what}: key {key!r} is not {kind}: {config[key]!r}") from None
 
 
-def _config_int(config: dict[str, str], key: str, what: str, default: int | None = None) -> int:
-    if key not in config:
-        if default is None:
-            raise ValueError(f"{what}: missing required key {key!r}")
-        return default
+def _number_list(text: str, what: str, convert=float) -> tuple:
+    """Comma-separated ``float`` (or ``int``) values; empty parts are skipped."""
     try:
-        return int(config[key])
+        values = tuple(convert(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
-        raise ValueError(f"{what}: key {key!r} is not an integer: {config[key]!r}") from None
+        kind = "integers" if convert is int else "numbers"
+        raise ValueError(f"{what}: expected comma-separated {kind}, got {text!r}") from None
+    if not values:
+        raise ValueError(f"{what}: empty list")
+    return values
+
+
+def _scalar_or_all(values: tuple[float, ...]) -> float | tuple[float, ...]:
+    """A one-element list as its scalar (applies to every layer), else the list."""
+    return values[0] if len(values) == 1 else values
 
 
 def _read_text(path: str) -> str:
@@ -130,7 +116,7 @@ def _load_graph(path: str, normalize: bool) -> MultilayerGraph:
 def _weights_or_uniform(text: str | None, n_layers: int, what: str) -> LayerWeights:
     if text is None:
         return LayerWeights.uniform(n_layers)
-    values = _float_list(text, what)
+    values = _number_list(text, what)
     if len(values) != n_layers:
         raise ValueError(f"{what}: {len(values)} weights for {n_layers} layers")
     return LayerWeights(np.array(values))
@@ -138,10 +124,6 @@ def _weights_or_uniform(text: str | None, n_layers: int, what: str) -> LayerWeig
 
 def _load_assignment(path: str, graph: MultilayerGraph) -> ClusterAssignment:
     return ClusterAssignment.from_label_map(parse_label_file(_read_text(path)), graph.node_ids)
-
-
-def _print_json(doc: dict, stream: IO[str]) -> None:
-    stream.write(strict_json(doc))
 
 
 def _fmt(value: float) -> str:
@@ -154,40 +136,40 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _two_layer_model(config: dict[str, str], what: str) -> dict:
+    """The two-layer model's ``cluster_sizes`` and joint probabilities
+    ``q11, q10, q01, q00``, as :class:`TwoLayerCorrelatedParams` keywords."""
+    model: dict = {"cluster_sizes": _number_list(_read(config, "cluster_sizes", what), "cluster_sizes", int)}
+    for key in ("q11", "q10", "q01", "q00"):
+        model[key] = _read(config, key, what, float)
+    return model
+
+
 def _generator_from_config(config: dict[str, str]):
     kind = config.get("generator", "two_layer")
-    seed = _config_int(config, "seed", "generate", 0)
-    sizes = _int_list(_require(config, "cluster_sizes", "generate"), "cluster_sizes")
+    seed = _read(config, "seed", "generate", int, 0)
     if kind == "two_layer":
         params = TwoLayerCorrelatedParams(
-            cluster_sizes=sizes,
-            q11=_config_float(config, "q11", "generate"),
-            q10=_config_float(config, "q10", "generate"),
-            q01=_config_float(config, "q01", "generate"),
-            q00=_config_float(config, "q00", "generate"),
-            p1=_config_float(config, "p1", "generate"),
-            p2=_config_float(config, "p2", "generate"),
+            **_two_layer_model(config, "generate"),
+            p1=_read(config, "p1", "generate", float),
+            p2=_read(config, "p2", "generate", float),
             seed=seed,
         )
         return generate_two_layer(params)
     if kind == "rim":
-        n_layers = _config_int(config, "n_layers", "generate")
-        rows = _require(config, "within_probs", "generate").split(";")
-        within = np.array([[float(x) for x in row.split(",")] for row in rows])
-        noise_text = _require(config, "noise_probs", "generate")
-        noise = _float_list(noise_text, "noise_probs")
-        noise_probs = np.array(noise) if len(noise) > 1 else float(noise[0])
-        means_text = config.get("noise_weight_means")
-        means: np.ndarray | float = 1.0
-        if means_text is not None:
-            mvals = _float_list(means_text, "noise_weight_means")
-            means = np.array(mvals) if len(mvals) > 1 else float(mvals[0])
+        sizes = _number_list(_read(config, "cluster_sizes", "generate"), "cluster_sizes", int)
+        n_layers = _read(config, "n_layers", "generate", int)
+        rows = [_number_list(row, "within_probs") for row in _read(config, "within_probs", "generate").split(";")]
+        if len({len(row) for row in rows}) > 1:
+            raise ValueError(f"within_probs: rows have unequal lengths {[len(row) for row in rows]}")
+        noise = _number_list(_read(config, "noise_probs", "generate"), "noise_probs")
+        means = config.get("noise_weight_means")
         params = GeneralRimParams(
             cluster_sizes=sizes,
             n_layers=n_layers,
-            within_probs=within,
-            noise_probs=noise_probs,
-            noise_weight_means=means,
+            within_probs=np.array(rows),
+            noise_probs=_scalar_or_all(noise),
+            noise_weight_means=1.0 if means is None else _scalar_or_all(_number_list(means, "noise_weight_means")),
             weight_distribution=config.get("weight_distribution", "constant"),
             seed=seed,
         )
@@ -239,20 +221,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _mimosa_config_from_args(args: argparse.Namespace, graph: MultilayerGraph) -> MimosaConfig:
     kwargs: dict = {"seed": args.seed}
     if args.w_ini is not None:
-        values = _float_list(args.w_ini, "--w-ini")
-        if len(values) != graph.L:
-            raise ValueError(f"--w-ini: {len(values)} weights for {graph.L} layers")
-        kwargs["w_ini"] = LayerWeights(np.array(values))
+        kwargs["w_ini"] = _weights_or_uniform(args.w_ini, graph.L, "--w-ini")
     if args.tau_set is not None:
-        kwargs["tau_set"] = _float_list(args.tau_set, "--tau-set")
+        kwargs["tau_set"] = _number_list(args.tau_set, "--tau-set")
     if args.eta is not None:
         kwargs["eta"] = args.eta
     if args.alpha is not None:
-        values = _float_list(args.alpha, "--alpha")
-        kwargs["alpha"] = values[0] if len(values) == 1 else values
+        kwargs["alpha"] = _scalar_or_all(_number_list(args.alpha, "--alpha"))
     if args.alpha_prime is not None:
-        values = _float_list(args.alpha_prime, "--alpha-prime")
-        kwargs["alpha_prime"] = values[0] if len(values) == 1 else values
+        kwargs["alpha_prime"] = _scalar_or_all(_number_list(args.alpha_prime, "--alpha-prime"))
     if args.max_k is not None:
         kwargs["max_k"] = args.max_k
     return MimosaConfig(**kwargs)
@@ -271,6 +248,7 @@ def _cmd_mimosa(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 _AXIS_NAMES = ("p1", "p2", "w1", "tau")
+_SWEEP_COLUMNS = ("detectability", "t_w", "t_LB_hat", "t_UB_hat", "S2K_over_n")
 
 
 def _parse_axis(text: str, what: str) -> tuple[str, np.ndarray]:
@@ -294,7 +272,7 @@ def _parse_axis(text: str, what: str) -> tuple[str, np.ndarray]:
     return name, start + step * np.arange(count)
 
 
-def _mean(values: list[float], geometric: bool) -> float:
+def _mean(values: Sequence[float], geometric: bool) -> float:
     arr = np.array(values, dtype=np.float64)
     if np.any(np.isnan(arr)):
         return float("nan")
@@ -307,150 +285,85 @@ def _mean(values: list[float], geometric: bool) -> float:
     return float(np.exp(np.mean(np.log(arr))))
 
 
-def _sweep_point(
-    config: dict[str, str],
-    assignments: dict[str, float],
-    point_index: int,
-    trials: int,
-    mode: str,
-    base_seed: int,
-    out_rows: list[list[str]],
-    geometric: bool,
-    axis_names: list[str],
-) -> None:
-    """Run all trials of one grid point and append data + mean rows."""
-    p1 = assignments["p1"] if "p1" in assignments else _config_float(config, "p1", "sweep")
-    p2 = assignments["p2"] if "p2" in assignments else _config_float(config, "p2", "sweep")
-    sizes = _int_list(_require(config, "cluster_sizes", "sweep"), "cluster_sizes")
-
-    if "w" in config and ("w1" in assignments):
-        raise ValueError("sweep: cannot combine a w1 axis with a fixed w vector")
-    if "w1" in assignments:
-        w1 = assignments["w1"]
-        base_w = LayerWeights(np.array([w1, 1.0 - w1]))
-    elif "w" in config:
-        base_w = LayerWeights(np.array(_float_list(config["w"], "w")))
-    elif "w1" in config:
-        w1 = _config_float(config, "w1", "sweep")
-        base_w = LayerWeights(np.array([w1, 1.0 - w1]))
+def _sweep_trial(
+    params: TwoLayerCorrelatedParams, weights: LayerWeights, k: int | None, mimosa: MimosaConfig | None
+) -> tuple[float, ...]:
+    """Sample one graph (seeded by ``params.seed``) and return its statistics
+    in ``_SWEEP_COLUMNS`` order: SGC with ``k`` clusters under ``weights``, or
+    MIMOSA under ``mimosa`` (all nan when it declines)."""
+    graph, truth = generate_two_layer(params)
+    if mimosa is None:
+        found, embedding = multilayer_sgc(graph, weights, k, seed=params.seed)
     else:
-        base_w = LayerWeights.uniform(2)
-    if "tau" in assignments:
-        weights = adapt_weights(base_w, np.array([p1, p2]), assignments["tau"])
-    else:
-        weights = base_w
-
-    columns = {name: [] for name in ("detectability", "t_w", "t_LB_hat", "t_UB_hat", "S2K_over_n")}
-    axis_values = [assignments[name] for name in axis_names]
-
-    for trial in range(trials):
-        trial_seed = int(np.random.SeedSequence([base_seed, point_index, trial]).generate_state(1)[0])
-        params = TwoLayerCorrelatedParams(
-            cluster_sizes=sizes,
-            q11=_config_float(config, "q11", "sweep"),
-            q10=_config_float(config, "q10", "sweep"),
-            q01=_config_float(config, "q01", "sweep"),
-            q00=_config_float(config, "q00", "sweep"),
-            p1=p1,
-            p2=p2,
-            seed=trial_seed,
-        )
-        graph, truth = generate_two_layer(params)
-
-        if mode == "sgc":
-            k = _config_int(config, "k", "sweep")
-            found, embedding = multilayer_sgc(graph, weights, k, seed=trial_seed)
-            det = detectability(found, truth)
-            bounds = critical_bounds(graph, truth, weights)
-            t_w = float(weights.values @ np.array([p1, p2]))
-            s2k = partial_eigenvalue_sum(embedding) / graph.n
-        else:  # mimosa
-            mim_kwargs: dict = {"seed": trial_seed}
-            if "eta" in config:
-                mim_kwargs["eta"] = _config_float(config, "eta", "sweep")
-            if "alpha" in config:
-                mim_kwargs["alpha"] = _config_float(config, "alpha", "sweep")
-            if "alpha_prime" in config:
-                mim_kwargs["alpha_prime"] = _config_float(config, "alpha_prime", "sweep")
-            if "max_k" in config:
-                mim_kwargs["max_k"] = _config_int(config, "max_k", "sweep")
-            if "tau_set" in config:
-                mim_kwargs["tau_set"] = _float_list(config["tau_set"], "tau_set")
-            result = run_mimosa(graph, MimosaConfig(**mim_kwargs))
-            if result.status == "found":
-                det = detectability(result.assignment, truth)
-                bounds = critical_bounds(graph, truth, result.w_star)
-                t_w = float(result.w_star.values @ np.array([p1, p2]))
-                emb = smallest_eigenpairs(aggregate(graph, result.w_star), result.K,
-                                          rng=np.random.default_rng(trial_seed))
-                s2k = partial_eigenvalue_sum(emb) / graph.n
-            else:
-                det = t_w = s2k = float("nan")
-                bounds = None
-
-        row_vals = {
-            "detectability": det,
-            "t_w": t_w,
-            "t_LB_hat": bounds.t_lb if bounds is not None else float("nan"),
-            "t_UB_hat": bounds.t_ub if bounds is not None else float("nan"),
-            "S2K_over_n": s2k,
-        }
-        for name, value in row_vals.items():
-            columns[name].append(float(value))
-        out_rows.append(
-            [_fmt(v) for v in axis_values]
-            + [str(trial)]
-            + [_fmt(row_vals[name]) for name in ("detectability", "t_w", "t_LB_hat", "t_UB_hat", "S2K_over_n")]
-        )
-
-    out_rows.append(
-        [_fmt(v) for v in axis_values]
-        + ["mean"]
-        + [_fmt(_mean(columns[name], geometric)) for name in ("detectability", "t_w", "t_LB_hat", "t_UB_hat", "S2K_over_n")]
-    )
+        result = run_mimosa(graph, replace(mimosa, seed=params.seed))
+        if result.status != "found":
+            return (float("nan"),) * len(_SWEEP_COLUMNS)
+        found, weights = result.assignment, result.w_star
+        embedding = smallest_eigenpairs(aggregate(graph, weights), result.K, rng=np.random.default_rng(params.seed))
+    bounds = critical_bounds(graph, truth, weights)
+    t_w = float(weights.values @ np.array([params.p1, params.p2]))
+    return detectability(found, truth), t_w, bounds.t_lb, bounds.t_ub, partial_eigenvalue_sum(embedding) / graph.n
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = parse_config(_read_text(args.spec))
-    axis_name, axis_values = _parse_axis(_require(config, "axis", "sweep"), "axis")
-    axes: list[tuple[str, np.ndarray]] = [(axis_name, axis_values)]
+    axes = [_parse_axis(_read(config, "axis", "sweep"), "axis")]
     if "axis2" in config:
-        name2, values2 = _parse_axis(config["axis2"], "axis2")
-        if name2 == axis_name:
+        axes.append(_parse_axis(config["axis2"], "axis2"))
+        if axes[1][0] == axes[0][0]:
             raise ValueError("sweep: axis2 must name a different parameter than axis")
-        axes.append((name2, values2))
-    trials = _config_int(config, "trials", "sweep", 1)
+    axis_names = [name for name, _ in axes]
+    trials = _read(config, "trials", "sweep", int, 1)
     if trials < 1:
         raise ValueError(f"sweep: trials must be >= 1, got {trials}")
     mode = config.get("mode", "sgc")
     if mode not in ("sgc", "mimosa"):
         raise ValueError(f"sweep: mode must be sgc or mimosa, got {mode!r}")
-    base_seed = _config_int(config, "seed", "sweep", 0)
+    base_seed = _read(config, "seed", "sweep", int, 0)
     geometric = args.mean == "geometric"
 
-    axis_names = [name for name, _ in axes]
-    # Sanity: fixed keys must exist for parameters not swept.
-    for required in ("p1", "p2"):
-        if required not in axis_names and required not in config:
-            raise ValueError(f"sweep: missing required key {required!r} (not on an axis)")
-
-    header = axis_names + ["trial", "detectability", "t_w", "t_LB_hat", "t_UB_hat", "S2K_over_n"]
-    rows: list[list[str]] = []
-    grids = [values for _, values in axes]
-    point_index = 0
-    if len(grids) == 1:
-        points = [(v,) for v in grids[0]]
+    # Every key, and every grid point's parameters, is checked here, before
+    # the first graph is sampled.
+    for key in ("p1", "p2"):
+        if key not in axis_names and key not in config:
+            raise ValueError(f"sweep: missing required key {key!r} (not on an axis)")
+    fixed = {key: _read(config, key, "sweep", float) for key in ("p1", "p2") if key not in axis_names}
+    model = _two_layer_model(config, "sweep")
+    if "w1" in axis_names and "w" in config:
+        raise ValueError("sweep: cannot combine a w1 axis with a fixed w vector")
+    if "w1" in config and "w" not in config and "w1" not in axis_names:
+        fixed["w1"] = _read(config, "w1", "sweep", float)
+    base_w = _weights_or_uniform(config.get("w"), 2, "w")
+    k = mimosa = None
+    if mode == "sgc":
+        k = _read(config, "k", "sweep", int)
     else:
-        points = [(v1, v2) for v1 in grids[0] for v2 in grids[1]]
-    for values in points:
-        assignments = {name: float(v) for name, v in zip(axis_names, values)}
-        _sweep_point(config, assignments, point_index, trials, mode, base_seed, rows, geometric, axis_names)
-        point_index += 1
+        mim_kwargs: dict = {}
+        for key, convert in (("eta", float), ("alpha", float), ("alpha_prime", float), ("max_k", int)):
+            if key in config:
+                mim_kwargs[key] = _read(config, key, "sweep", convert)
+        if "tau_set" in config:
+            mim_kwargs["tau_set"] = _number_list(config["tau_set"], "tau_set")
+        mimosa = MimosaConfig(**mim_kwargs)
+    grid = []
+    for values in itertools.product(*(values for _, values in axes)):
+        point = {**fixed, **{name: float(v) for name, v in zip(axis_names, values)}}
+        weights = LayerWeights(np.array([point["w1"], 1.0 - point["w1"]])) if "w1" in point else base_w
+        if "tau" in point:
+            weights = adapt_weights(weights, np.array([point["p1"], point["p2"]]), point["tau"])
+        params = TwoLayerCorrelatedParams(**model, p1=point["p1"], p2=point["p2"])
+        grid.append(([_fmt(v) for v in values], params, weights))
 
-    out = sys.stdout
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(row) + "\n")
+    lines = [",".join([*axis_names, "trial", *_SWEEP_COLUMNS])]
+    for point_index, (prefix, params, weights) in enumerate(grid):
+        stats = []
+        for trial in range(trials):
+            trial_seed = int(np.random.SeedSequence([base_seed, point_index, trial]).generate_state(1)[0])
+            stats.append(_sweep_trial(replace(params, seed=trial_seed), weights, k, mimosa))
+            lines.append(",".join(prefix + [str(trial)] + [_fmt(v) for v in stats[-1]]))
+        lines.append(",".join(prefix + ["mean"] + [_fmt(_mean(column, geometric)) for column in zip(*stats)]))
+
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0
 
 
@@ -469,7 +382,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         doc["nmi"] = report.nmi
         doc["ri"] = report.ri
         doc["f_measure"] = report.f_measure
-    _print_json(doc, sys.stdout)
+    sys.stdout.write(strict_json(doc))
     return 0
 
 
@@ -546,7 +459,7 @@ def _cmd_theory_check(args: argparse.Namespace) -> int:
         s1, s2 = bounds.layer_partial_sums.min(axis=1) / graph.n
         solution = critical_weight_w1(float(t1), float(t2), float(s1), float(s2), assignment.K)
         doc["critical_weight"] = {"w1": solution.value, "degenerate": solution.degenerate}
-    _print_json(doc, sys.stdout)
+    sys.stdout.write(strict_json(doc))
     return 0
 
 

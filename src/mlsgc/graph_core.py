@@ -524,7 +524,8 @@ def aggregate(graph: MultilayerGraph, weights: LayerWeights) -> AggregatedGraph:
     equals the same convex combination of the per-layer Laplacians.
 
     Raises:
-        ValueError: weight vector length differs from the layer count.
+        ValueError: weight vector length differs from the layer count, or a
+            node's strength overflows to infinity (naming the first such node).
     """
     if len(weights) != graph.L:
         raise ValueError(f"weight vector has {len(weights)} entries for {graph.L} layers")
@@ -538,7 +539,11 @@ def aggregate(graph: MultilayerGraph, weights: LayerWeights) -> AggregatedGraph:
     if acc is None:
         acc = sparse.csr_array((n, n), dtype=np.float64)
     acc = _canonical_csr(acc, n)
-    strength = np.asarray(acc.sum(axis=1)).ravel()
+    with np.errstate(over="ignore"):
+        strength = np.asarray(acc.sum(axis=1)).ravel()
+    if not np.isfinite(strength).all():
+        node = graph.node_ids[int(np.argmin(np.isfinite(strength)))]
+        raise ValueError(f"aggregated strength of node {node!r} is not finite: its edge weights are too large")
     strength.setflags(write=False)
     return AggregatedGraph(weight_matrix=acc, strength=strength)
 

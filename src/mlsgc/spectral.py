@@ -145,8 +145,9 @@ class ClusterAssignment:
     def from_label_map(cls, mapping: Mapping[str, str], node_ids: Sequence[str]) -> "ClusterAssignment":
         """Build an assignment from a ``{node_id: label}`` mapping.
 
-        Distinct label strings are mapped to integers 0..K-1 by lexicographic
-        order of the label strings, so the integerization is reproducible.
+        Distinct label strings are mapped to integers 0..K-1 in code-point
+        order of the label strings (Python ``sorted``), so the integerization
+        is reproducible.
 
         Raises:
             ValueError: a node is missing from the mapping, or the mapping

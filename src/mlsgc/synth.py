@@ -51,11 +51,21 @@ def _cluster_slices(cluster_sizes: tuple[int, ...]) -> list[slice]:
     return [slice(int(offsets[k]), int(offsets[k + 1])) for k in range(len(cluster_sizes))]
 
 
+# The generators draw one uniform variate per node pair, so the node count n
+# is capped by a budget of n(n-1)/2 pairs, checked before anything is
+# allocated: 2**25 pairs admits up to 8192 nodes.
+_MAX_NODE_PAIRS = 2**25
+
+
 def _validate_sizes(cluster_sizes: tuple[int, ...]) -> None:
     if len(cluster_sizes) == 0:
         raise ValueError("at least one cluster is required")
     if any(int(s) < 1 for s in cluster_sizes):
         raise ValueError("cluster sizes must be positive")
+    n = sum(cluster_sizes)
+    if n * (n - 1) // 2 > _MAX_NODE_PAIRS:
+        raise ValueError(f"cluster sizes give {n} nodes, more than the budget of "
+                         f"{_MAX_NODE_PAIRS} node pairs allows")
 
 
 @dataclass(frozen=True)
@@ -63,10 +73,11 @@ class TwoLayerCorrelatedParams:
     """Parameters of the two-layer correlated generator.
 
     Attributes:
-        cluster_sizes: planted cluster sizes (node count is their sum).
+        cluster_sizes: planted cluster sizes (node count is their sum, at
+            most 8192: the sizes may give at most ``2**25`` node pairs).
         q11, q10, q01, q00: within-cluster joint edge probabilities — both
-            layers / layer 1 only / layer 2 only / neither.  Must be
-            nonnegative and sum to 1 (tolerance 1e-12).
+            layers / layer 1 only / layer 2 only / neither.  Each must be in
+            [0, 1] (NaN is rejected) and they must sum to 1 (tolerance 1e-12).
         p1, p2: per-layer between-cluster edge probabilities in [0, 1].
         seed: RNG seed; the generated graph is a pure function of the params.
     """
@@ -84,8 +95,8 @@ class TwoLayerCorrelatedParams:
         object.__setattr__(self, "cluster_sizes", tuple(int(s) for s in self.cluster_sizes))
         _validate_sizes(self.cluster_sizes)
         qs = (self.q11, self.q10, self.q01, self.q00)
-        if any(q < 0.0 for q in qs):
-            raise ValueError("joint probabilities must be nonnegative")
+        if not all(0.0 <= q <= 1.0 for q in qs):
+            raise ValueError(f"joint probabilities must be in [0, 1], got {qs}")
         if abs(sum(qs) - 1.0) > 1e-12:
             raise ValueError(f"joint probabilities must sum to 1, got {sum(qs)}")
         for name, p in (("p1", self.p1), ("p2", self.p2)):
@@ -166,7 +177,8 @@ class GeneralRimParams:
     Exactly one of ``within_probs`` and ``within_graphs`` must be given.
 
     Attributes:
-        cluster_sizes: planted cluster sizes.
+        cluster_sizes: planted cluster sizes (at most 8192 nodes in all,
+            as for :class:`TwoLayerCorrelatedParams`).
         n_layers: number of layers L.
         within_probs: per-layer per-cluster within-cluster edge
             probabilities, shape (L, K); generated within-cluster subgraphs
@@ -212,7 +224,7 @@ class GeneralRimParams:
             probs = np.asarray(self.within_probs, dtype=np.float64)
             if probs.shape != (L, K):
                 raise ValueError(f"within_probs must have shape {(L, K)}, got {probs.shape}")
-            if np.any((probs < 0.0) | (probs > 1.0)):
+            if not np.all((probs >= 0.0) & (probs <= 1.0)):
                 raise ValueError("within-cluster probabilities must be in [0, 1]")
             probs.setflags(write=False)
             object.__setattr__(self, "within_probs", probs)
@@ -226,12 +238,12 @@ class GeneralRimParams:
 
         object.__setattr__(self, "_noise_p", self._expand(self.noise_probs, "noise_probs", 0.0))
         object.__setattr__(self, "_noise_w", self._expand(self.noise_weight_means, "noise_weight_means", 1.0))
-        if np.any((self._noise_p < 0.0) | (self._noise_p > 1.0)):
+        if not np.all((self._noise_p >= 0.0) & (self._noise_p <= 1.0)):
             raise ValueError("noise probabilities must be in [0, 1]")
-        bad = (self._noise_p > 0.0) & (self._noise_w <= 0.0)
+        bad = (self._noise_p > 0.0) & ~((self._noise_w > 0.0) & np.isfinite(self._noise_w))
         iu = np.triu_indices(K, k=1)
         if any(bad[layer][iu].any() for layer in range(L)):
-            raise ValueError("noise weight means must be positive wherever the probability is positive")
+            raise ValueError("noise weight means must be positive and finite wherever the probability is positive")
 
     def _expand(self, value, name: str, default: float) -> np.ndarray:
         """Normalize a scalar / per-layer / full (L, K, K) spec to (L, K, K)."""

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import mlsgc.cli
 
 from mlsgc import (
     ClusterAssignment,
@@ -122,6 +127,109 @@ seed = 3
     assert len(parse_label_file(labels.read_text())) == 40
 
 
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(marker):
+    """The README's one untagged code block that contains ``marker``."""
+    blocks, lines = [], None
+    for line in README.read_text(encoding="utf-8").splitlines(keepends=True):
+        if line.startswith("```"):
+            if lines is None:
+                lines, tag = [], line[3:].strip()
+            else:
+                if not tag and marker in "".join(lines):
+                    blocks.append("".join(lines))
+                lines = None
+        elif lines is not None:
+            lines.append(line)
+    assert len(blocks) == 1, marker
+    return blocks[0]
+
+
+@pytest.mark.parametrize("marker", ["generator = two_layer", "generator = rim", "axis = p1"])
+def test_readme_example_specs_run_verbatim(tmp_path, capsys, marker):
+    # the examples carry trailing comments, which used to end up in the values
+    spec = write(tmp_path / "spec.cfg", readme_block(marker))
+    if marker.startswith("axis"):
+        code, out, err = run_cli(capsys, "sweep", spec)
+        assert code == 0, err
+        assert out.startswith("p1,trial,detectability,")
+    else:
+        code, out, err = run_cli(
+            capsys, "generate", spec,
+            "--edges", str(tmp_path / "g.tsv"), "--labels", str(tmp_path / "g.labels"),
+        )
+        assert code == 0, err
+        assert out.startswith("n=")
+
+
+def test_config_comment_runs_to_end_of_line():
+    from mlsgc.cli import parse_config
+
+    assert parse_config("# head\nq11 = 0.3   # both layers\n  # indented\nk=3#tight\n") == {
+        "q11": "0.3", "k": "3",
+    }
+
+
+RIM_PARAMS = """\
+generator = rim
+cluster_sizes = 20,20
+n_layers = 2
+within_probs = 0.8,0.8;0.7,0.7
+noise_probs = 0.05,0.10
+seed = 3
+"""
+
+
+@pytest.mark.parametrize("within, message", [
+    # these used to print numpy's or float()'s message, naming no key
+    ("0.5,x;0.4,0.5", "within_probs: expected comma-separated numbers, got '0.5,x'"),
+    ("0.5;0.4,0.5", "within_probs: rows have unequal lengths [1, 2]"),
+], ids=["non-numeric", "ragged"])
+def test_generate_rim_names_within_probs(tmp_path, capsys, within, message):
+    params = write(tmp_path / "rim.cfg", RIM_PARAMS.replace("0.8,0.8;0.7,0.7", within))
+    code, out, err = run_cli(
+        capsys, "generate", params, "--edges", str(tmp_path / "g.tsv"), "--labels", str(tmp_path / "g.labels")
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, old, new", [
+    (GENERATE_PARAMS, "q11 = 0.3", "q11 = nan"),
+    (RIM_PARAMS, "0.8,0.8;0.7,0.7", "0.8,nan;0.7,0.7"),
+    (RIM_PARAMS, "noise_probs = 0.05,0.10", "noise_probs = nan"),
+], ids=["q11", "within_probs", "noise_probs"])
+def test_generate_rejects_nan_probabilities(tmp_path, capsys, text, old, new):
+    # a nan probability used to pass validation and exit 0 with a graph
+    # that has no edges of that kind
+    params = write(tmp_path / "nan.cfg", text.replace(old, new))
+    code, out, err = run_cli(
+        capsys, "generate", params, "--edges", str(tmp_path / "g.tsv"), "--labels", str(tmp_path / "g.labels")
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be in [0, 1]" in err
+
+
+def test_generate_rejects_sizes_over_the_pair_budget_without_allocating(tmp_path, capsys):
+    # used to end in an _ArrayMemoryError traceback, exit 1
+    params = write(tmp_path / "huge.cfg", GENERATE_PARAMS.replace("100,100,100", "10000000000"))
+    edges = tmp_path / "g.tsv"
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "generate", params, "--edges", str(edges), "--labels", str(tmp_path / "g.l"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == "error: cluster sizes give 10000000000 nodes, more than the budget of 33554432 node pairs allows\n"
+    assert peak < 1 << 20
+    assert not edges.exists()
+
+
 # ----------------------------------------------------------------- cluster
 
 
@@ -164,6 +272,21 @@ def test_cluster_normalize_flag(tmp_path, capsys):
     code, out, err = run_cli(capsys, "cluster", edges, "--k", "2", "--normalize")
     assert code == 0, err
     assert len(parse_label_file(out)) == 16
+
+
+
+@pytest.mark.parametrize("argv", [("cluster", "--k", "2"), ("mimosa",)], ids=["cluster", "mimosa"])
+def test_overflowing_strength_names_the_node(tmp_path, capsys, argv):
+    # every weight is finite but a's strength is not; this used to print
+    # scipy's overflow warning and "array must not contain infs or NaNs"
+    edges = write(tmp_path / "big.tsv", "".join(
+        f"0\t{u}\t{v}\t1e308\n" for u, v in (("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"))
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv[0], edges, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: aggregated strength of node 'a' is not finite: its edge weights are too large\n"
 
 
 # ------------------------------------------------------------------ mimosa
@@ -293,14 +416,54 @@ def test_sweep_rejects_non_finite_axis(tmp_path, capsys, axis):
     assert err == f"error: axis: start, stop and step must be finite in {axis!r}\n"
 
 
-def test_sweep_is_deterministic(tmp_path, capsys):
-    spec = write(tmp_path / "sweep.cfg", SWEEP_SPEC)
+MIMOSA_SWEEP_SPEC = """\
+axis = p1:0.02:0.04:0.02
+p2 = 0.03
+cluster_sizes = 15,15
+q11 = 0.6
+q10 = 0.2
+q01 = 0.1
+q00 = 0.1
+mode = mimosa
+max_k = 4
+trials = 2
+seed = 5
+"""
+
+
+@pytest.mark.parametrize("spec, header, points, trials", [
+    (SWEEP_SPEC, "p1", 1, 1),
+    (MIMOSA_SWEEP_SPEC, "p1", 2, 2),
+    (SWEEP_SPEC.replace("axis = p1:0.1:0.1:0.05", "axis = w1:0.2:0.8:0.3\np1 = 0.1"), "w1", 3, 1),
+    (SWEEP_SPEC.replace("axis = p1:0.1:0.1:0.05", "axis = tau:0:10:5\np1 = 0.1"), "tau", 3, 1),
+    (SWEEP_SPEC + "w = 0.7,0.3\n", "p1", 1, 1),
+], ids=["sgc-p1", "mimosa-p1", "w1-axis", "tau-axis", "fixed-w"])
+def test_sweep_is_deterministic(tmp_path, capsys, spec, header, points, trials):
+    path = write(tmp_path / "sweep.cfg", spec)
     outputs = []
     for _ in range(2):
-        code, out, _ = run_cli(capsys, "sweep", spec)
-        assert code == 0
+        code, out, err = run_cli(capsys, "sweep", path)
+        assert code == 0, err
         outputs.append(out)
     assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert lines[0] == f"{header},trial,detectability,t_w,t_LB_hat,t_UB_hat,S2K_over_n"
+    assert len(lines) == 1 + points * (trials + 1)
+    assert [line.split(",")[1] for line in lines[1:]] == ([str(t) for t in range(trials)] + ["mean"]) * points
+
+
+@pytest.mark.parametrize("spec, message", [
+    (SWEEP_SPEC.replace("k = 3", "k = x"), "sweep: key 'k' is not an integer: 'x'"),
+    (MIMOSA_SWEEP_SPEC.replace("max_k = 4", "max_k = 1"), "max_k must be at least 2, got 1"),
+    (MIMOSA_SWEEP_SPEC + "w = 0.5,0.3,0.2\n", "w: 3 weights for 2 layers"),
+    (SWEEP_SPEC.replace("p1:0.1:0.1:0.05", "p1:0.5:1.5:0.5"), "p1 must be in [0, 1], got 1.5"),
+], ids=["sgc-k", "mimosa-max_k", "w-length", "last-grid-point"])
+def test_sweep_reads_every_key_before_sampling(tmp_path, capsys, monkeypatch, spec, message):
+    calls = []
+    monkeypatch.setattr(mlsgc.cli, "generate_two_layer", lambda params: calls.append(params))
+    code, out, err = run_cli(capsys, "sweep", write(tmp_path / "bad.cfg", spec))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert calls == []
 
 
 # ---------------------------------------------------------------- evaluate

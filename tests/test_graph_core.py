@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -417,6 +418,16 @@ def test_aggregate_simplex_vertex_recovers_layer():
     agg = aggregate(g, LayerWeights((1.0, 0.0)))
     assert np.allclose(agg.weight_matrix.toarray(), g.layers[0].toarray())
 
+
+
+def test_aggregate_names_the_first_node_whose_strength_overflows():
+    # every weight is finite, but a's, b's and c's strengths exceed the
+    # float range; the row sum's overflow warning is not shown
+    g = parse_multilayer_edge_list("0 a b 1e308\n0 a c 1e308\n0 b c 1e308\n0 c d 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="strength of node 'a' is not finite"):
+            aggregate(g, LayerWeights.uniform(1))
 
 def test_laplacian_linearity_two_routes():
     rng = np.random.default_rng(5)

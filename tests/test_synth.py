@@ -119,6 +119,27 @@ def test_two_layer_params_validation():
         )
 
 
+
+@pytest.mark.parametrize("field", ["q11", "q10", "q01", "q00", "p1", "p2"])
+def test_two_layer_params_reject_nan(field):
+    # nan passed both `q < 0` and `abs(sum - 1) > 1e-12`, and the generator
+    # then drew a graph with no within-cluster edges
+    params = dict(cluster_sizes=(5, 5), q11=0.3, q10=0.2, q01=0.1, q00=0.4, p1=0.1, p2=0.1)
+    params[field] = float("nan")
+    with pytest.raises(ValueError, match=r"must (be in \[0, 1\]|sum to 1)"):
+        TwoLayerCorrelatedParams(**params)
+
+
+def test_node_pair_budget_is_checked_before_allocation():
+    base = dict(q11=0.3, q10=0.2, q01=0.1, q00=0.4, p1=0.1, p2=0.1)
+    # 8192 nodes are 33_550_336 pairs, within the 2**25 budget
+    assert TwoLayerCorrelatedParams(cluster_sizes=(4096, 4096), **base).n == 8192
+    with pytest.raises(ValueError, match="8193 nodes"):
+        TwoLayerCorrelatedParams(cluster_sizes=(4096, 4097), **base)
+    with pytest.raises(ValueError, match="10000000000 nodes"):
+        GeneralRimParams(cluster_sizes=(10**10,), n_layers=1,
+                         within_probs=np.full((1, 1), 0.5), noise_probs=0.1)
+
 def test_two_layer_seed_reproducibility():
     params = dict(
         cluster_sizes=(30, 40), q11=0.2, q10=0.3, q01=0.1, q00=0.4,
@@ -254,6 +275,17 @@ def test_rim_validation():
         GeneralRimParams(cluster_sizes=(10, 10), n_layers=2,
                          within_probs=np.full((1, 2), 0.5), noise_probs=0.1)
 
+
+
+@pytest.mark.parametrize("spec", [
+    dict(within_probs=np.array([[0.5, np.nan]]), noise_probs=0.1),
+    dict(within_probs=np.full((1, 2), 0.5), noise_probs=np.nan),
+    dict(within_probs=np.full((1, 2), 0.5), noise_probs=0.1, noise_weight_means=np.nan),
+    dict(within_probs=np.full((1, 2), 0.5), noise_probs=0.1, noise_weight_means=np.inf),
+], ids=["within-nan", "noise-nan", "mean-nan", "mean-inf"])
+def test_rim_params_reject_non_finite(spec):
+    with pytest.raises(ValueError):
+        GeneralRimParams(cluster_sizes=(10, 10), n_layers=1, **spec)
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
