@@ -249,9 +249,10 @@ def _cmd_mimosa(args: argparse.Namespace) -> int:
 
 _AXIS_NAMES = ("p1", "p2", "w1", "tau")
 _SWEEP_COLUMNS = ("detectability", "t_w", "t_LB_hat", "t_UB_hat", "S2K_over_n")
+_MAX_GRID_POINTS = 10_000  # a sweep's grid points, over all axes
 
 
-def _parse_axis(text: str, what: str) -> tuple[str, np.ndarray]:
+def _parse_axis(text: str, what: str, max_points: int) -> tuple[str, np.ndarray]:
     parts = text.split(":")
     if len(parts) != 4:
         raise ValueError(f"{what}: expected name:start:stop:step, got {text!r}")
@@ -268,8 +269,13 @@ def _parse_axis(text: str, what: str) -> tuple[str, np.ndarray]:
         raise ValueError(f"{what}: step must be positive, got {step}")
     if start > stop:
         raise ValueError(f"{what}: start must not exceed stop")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return name, start + step * np.arange(count)
+    span = (stop - start) / step + 1e-9  # may be inf; the count is floor(span) + 1
+    if span >= max_points:
+        raise ValueError(
+            f"{what}: more than {max_points} points in {text!r}; a sweep grid has at most "
+            f"{_MAX_GRID_POINTS} points over all axes"
+        )
+    return name, start + step * np.arange(int(math.floor(span)) + 1)
 
 
 def _mean(values: Sequence[float], geometric: bool) -> float:
@@ -307,9 +313,9 @@ def _sweep_trial(
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = parse_config(_read_text(args.spec))
-    axes = [_parse_axis(_read(config, "axis", "sweep"), "axis")]
+    axes = [_parse_axis(_read(config, "axis", "sweep"), "axis", _MAX_GRID_POINTS)]
     if "axis2" in config:
-        axes.append(_parse_axis(config["axis2"], "axis2"))
+        axes.append(_parse_axis(config["axis2"], "axis2", _MAX_GRID_POINTS // axes[0][1].size))
         if axes[1][0] == axes[0][0]:
             raise ValueError("sweep: axis2 must name a different parameter than axis")
     axis_names = [name for name, _ in axes]

@@ -3,8 +3,10 @@
 The algorithm grows the cluster count K from 2 upward.  At each K it first
 clusters with the initial layer weights and estimates each layer's noise
 level, then scans a grid of adaptation strengths tau, reweighting layers
-inversely to ``1 + tau * noise`` and re-clustering.  Each candidate
-clustering must pass a battery of reliability tests:
+inversely to ``1 + tau * noise`` and re-clustering.  Each (component, K) is
+embedded once: a tau whose weights equal the initial ones (always tau = 0)
+shares the init step's component and embedding and runs only its own K-means.
+Each candidate clustering must pass a battery of reliability tests:
 
 1. every detected cluster has at least K nodes,
 2. a block-wise homogeneity test on every ordered cluster pair in every
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,7 +42,7 @@ from .noise_stats import (
     glrt_identical_noise,
     vtest_from_row_sums,
 )
-from .spectral import ClusterAssignment, kmeans, smallest_eigenpairs
+from .spectral import ClusterAssignment, SpectralEmbedding, kmeans, smallest_eigenpairs
 from .theory import cluster_partial_sums
 
 __all__ = [
@@ -219,9 +222,55 @@ def _per_layer(value: float | tuple[float, ...], L: int, name: str) -> tuple[flo
     return levels
 
 
-def _induced_subgraph(graph: MultilayerGraph, nodes: np.ndarray) -> MultilayerGraph:
-    ids = tuple(graph.node_ids[i] for i in nodes)
-    return MultilayerGraph.from_matrices(ids, [mat[nodes][:, nodes] for mat in graph.layers])
+@dataclass(frozen=True)
+class _Component:
+    """The part of the graph that one weight vector's step clusters.
+
+    ``agg`` aggregates ``graph`` with the weights.  When the full aggregation
+    is connected, ``graph`` is the full graph and ``nodes`` is None;
+    otherwise ``graph`` is the subgraph induced by the largest component,
+    ``nodes`` holds its node indices and ``others`` the other components.
+    """
+
+    agg: AggregatedGraph
+    graph: MultilayerGraph
+    nodes: np.ndarray | None
+    others: tuple[np.ndarray, ...]
+
+    @property
+    def size(self) -> int | None:
+        """Clustered node count when disconnected (as traced), else None."""
+        return None if self.nodes is None else self.graph.n
+
+    def lift(self, assignment: ClusterAssignment) -> ClusterAssignment:
+        """Extend a component assignment to all nodes.
+
+        Each other component becomes one pseudo-cluster, labeled K, K+1, ...
+        """
+        if self.nodes is None:
+            return assignment
+        labels = np.empty(self.graph.n + sum(c.size for c in self.others), dtype=np.int64)
+        labels[self.nodes] = assignment.labels
+        for label, nodes in enumerate(self.others, start=assignment.K):
+            labels[nodes] = label
+        return ClusterAssignment(labels)
+
+
+def _component(graph: MultilayerGraph, w: LayerWeights) -> _Component:
+    """Aggregate with ``w``; restrict to the largest component if disconnected.
+
+    The component of maximal size (ties: smallest node index) is clustered.
+    """
+    agg = aggregate(graph, w)
+    comps = connected_components(agg)
+    if len(comps) == 1:
+        return _Component(agg, graph, None, ())
+    main = int(np.argmax([c.size for c in comps]))  # first maximal component wins ties
+    nodes = comps[main]
+    sub = MultilayerGraph.from_matrices(
+        tuple(graph.node_ids[i] for i in nodes), [mat[nodes][:, nodes] for mat in graph.layers]
+    )
+    return _Component(aggregate(sub, w), sub, nodes, tuple(c for i, c in enumerate(comps) if i != main))
 
 
 def _vtest_scan(est: NoiseEstimates, assignment: ClusterAssignment) -> tuple[float, tuple[int, int, int]]:
@@ -246,21 +295,6 @@ def _vtest_scan(est: NoiseEstimates, assignment: ClusterAssignment) -> tuple[flo
     return float(best_p), best_arg
 
 
-def _full_assignment(
-    n: int,
-    component: np.ndarray,
-    sub_labels: np.ndarray,
-    other_components: list[np.ndarray],
-    K: int,
-) -> ClusterAssignment:
-    """Extend component labels to all nodes with pseudo-clusters per component."""
-    labels = np.empty(n, dtype=np.int64)
-    labels[component] = sub_labels
-    for offset, nodes in enumerate(other_components):
-        labels[nodes] = K + offset
-    return ClusterAssignment(labels)
-
-
 def run_mimosa(graph: MultilayerGraph, config: MimosaConfig | None = None) -> MimosaResult:
     """Select the model order and layer weights of a multilayer graph.
 
@@ -282,155 +316,128 @@ def run_mimosa(graph: MultilayerGraph, config: MimosaConfig | None = None) -> Mi
     w_ini = config.w_ini if config.w_ini is not None else LayerWeights.uniform(graph.L)
     if len(w_ini) != graph.L:
         raise ValueError(f"w_ini has {len(w_ini)} entries for {graph.L} layers")
-    alpha = _per_layer(config.alpha, graph.L, "alpha")
-    alpha_prime = _per_layer(config.alpha_prime, graph.L, "alpha_prime")
+    levels = (_per_layer(config.alpha, graph.L, "alpha"), _per_layer(config.alpha_prime, graph.L, "alpha_prime"))
     max_k = config.max_k if config.max_k is not None else n // 2
-    seed = int(config.seed)
 
     trace: list[TraceRecord] = []
     reliable: list[ReliableCandidate] = []
     try:
-        _mimosa_loop(graph, config, w_ini, alpha, alpha_prime, max_k, seed, trace, reliable)
+        for record, candidate in _steps(graph, config, w_ini, levels, max_k):
+            trace.append(record)
+            if candidate is not None:
+                reliable.append(candidate)
     except Exception as err:  # attach partial trace for post-mortem inspection
         err.mimosa_trace = tuple(trace)  # type: ignore[attr-defined]
         raise
 
-    if reliable:
-        best = min(reliable, key=lambda c: (-c.snr, c.tau, c.trace_index))
-        return MimosaResult(
-            status="found",
-            node_ids=graph.node_ids,
-            K=best.K,
-            assignment=best.assignment,
-            w_star=best.w,
-            snr=best.snr,
-            reliable_set=tuple(reliable),
-            trace=tuple(trace),
-        )
+    best = min(reliable, key=lambda c: (-c.snr, c.tau, c.trace_index), default=None)
+    K, assignment, w_star, ratio = (None,) * 4 if best is None else (best.K, best.assignment, best.w, best.snr)
     return MimosaResult(
-        status="not_applicable",
-        node_ids=graph.node_ids,
-        K=None,
-        assignment=None,
-        w_star=None,
-        snr=None,
-        reliable_set=(),
-        trace=tuple(trace),
+        status="not_applicable" if best is None else "found", node_ids=graph.node_ids, K=K,
+        assignment=assignment, w_star=w_star, snr=ratio, reliable_set=tuple(reliable), trace=tuple(trace),
     )
 
 
-def _prepare_component(graph: MultilayerGraph, w: LayerWeights):
-    """Aggregate and, when disconnected, restrict to the largest component.
+_Levels = tuple[tuple[float, ...], tuple[float, ...]]  # per-layer (alpha, alpha_prime)
+_Step = tuple[TraceRecord, ReliableCandidate | None]
 
-    Returns (aggregated subgraph view, subgraph, component indices or None,
-    other components, disconnected flag).  The component of maximal size
-    (ties: smallest node index) is clustered.
+
+def _steps(
+    graph: MultilayerGraph, config: MimosaConfig, w_ini: LayerWeights, levels: _Levels, max_k: int
+) -> Iterator[_Step]:
+    """Yield each step's trace record and reliable candidate, in trace order.
+
+    Per K: the init step, then one step per tau; stops after the first K
+    with a reliable candidate.
     """
-    agg = aggregate(graph, w)
-    comps = connected_components(agg)
-    if len(comps) == 1:
-        return agg, graph, None, [], False
-    sizes = np.array([c.size for c in comps])
-    main = int(np.argmax(sizes))  # first maximal component wins ties
-    component = comps[main]
-    others = [c for i, c in enumerate(comps) if i != main]
-    sub = _induced_subgraph(graph, component)
-    return aggregate(sub, w), sub, component, others, True
-
-
-def _mimosa_loop(
-    graph: MultilayerGraph,
-    config: MimosaConfig,
-    w_ini: LayerWeights,
-    alpha: tuple[float, ...],
-    alpha_prime: tuple[float, ...],
-    max_k: int,
-    seed: int,
-    trace: list[TraceRecord],
-    reliable: list[ReliableCandidate],
-) -> None:
-    prepared_ini = _prepare_component(graph, w_ini)
-    agg_ini, sub_ini, _, _, disc_ini = prepared_ini
-    if disc_ini:
+    seed = int(config.seed)
+    steps_per_k = len(config.tau_set) + 1
+    comp_ini = _component(graph, w_ini)
+    if comp_ini.nodes is not None:
         warnings.warn(
             f"aggregated graph is disconnected; clustering its largest component "
-            f"({sub_ini.n} of {graph.n} nodes)",
+            f"({comp_ini.graph.n} of {graph.n} nodes)",
             stacklevel=3,
         )
     # K clusters of at least K nodes need K^2 nodes, and no tau's component is
     # larger than this one: adapt_weights never makes a zero layer weight
     # positive.  So no K above isqrt(component size) can be reliable.
-    for K in range(2, min(max_k, math.isqrt(sub_ini.n)) + 1):
-        # Step 1: cluster with the initial weights.
-        asg_ini = _embed_and_cluster(agg_ini, K, seed, 0)
-        t_ini = estimate_noise(sub_ini, asg_ini).t_hat_layer
-        trace.append(TraceRecord(
-            index=len(trace), K=K, tau=None, w=tuple(w_ini.values), outcome="init_ok",
-            disconnected=disc_ini, component_size=sub_ini.n if disc_ini else None,
+    for K in range(2, min(max_k, math.isqrt(comp_ini.graph.n)) + 1):
+        # The init step clusters with the initial weights; its embedding is kept for this K.
+        emb_ini = _embed(comp_ini, K, seed, 0)
+        asg_ini = _cluster(emb_ini, K, seed, 0)
+        t_ini = estimate_noise(comp_ini.graph, asg_ini).t_hat_layer
+        yield TraceRecord(
+            index=(K - 2) * steps_per_k, K=K, tau=None, w=tuple(w_ini.values), outcome="init_ok",
+            disconnected=comp_ini.nodes is not None, component_size=comp_ini.size,
             cluster_sizes=tuple(int(s) for s in asg_ini.sizes),
             t_hat_layers=tuple(float(t) for t in t_ini),
-        ))
+        ), None
 
         found_at_k = False
         for z, tau in enumerate(config.tau_set, start=1):
             w = adapt_weights(w_ini, t_ini, tau)
-            # equal weights give the init step's component (always so at tau = 0)
-            prepared = prepared_ini if w == w_ini else _prepare_component(graph, w)
-            record = _tau_iteration(
-                graph, prepared, w, K, tau, len(trace), seed, z, alpha, alpha_prime, config.eta, reliable,
-            )
-            trace.append(record)
-            if record.reliable:
-                found_at_k = True
+            # equal weights (always so at tau = 0) share the init step's component and embedding
+            comp, embedding = (comp_ini, emb_ini) if w == w_ini else (_component(graph, w), None)
+            step = _candidate(config, comp, embedding, w, K, z, (K - 2) * steps_per_k + z, levels)
+            found_at_k |= step[1] is not None
+            yield step
         if found_at_k:
             return
 
 
-def _embed_and_cluster(agg: AggregatedGraph, K: int, seed: int, z: int) -> ClusterAssignment:
-    """Spectral embedding and K-means of one aggregated component.
+def _embed(comp: _Component, K: int, seed: int, z: int) -> SpectralEmbedding:
+    """Spectral embedding of one component.
 
     ``z`` is the step within K: 0 for the initial weights, i for the i-th
-    tau.  Both random streams derive from (seed, K, z) alone, so every step
-    is reproducible on its own.
+    tau.  ARPACK's start vector (components over 512 nodes) derives from
+    (seed, K, z) alone.  A tau step whose weights equal the initial ones
+    solves nothing: it shares the init step's embedding, start vector
+    included.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, K, z, 0]))
-    embedding = smallest_eigenpairs(agg, K, rng=rng)
+    return smallest_eigenpairs(comp.agg, K, rng=rng)
+
+
+def _cluster(embedding: SpectralEmbedding, K: int, seed: int, z: int) -> ClusterAssignment:
+    """K-means of an embedding, seeded from (seed, K, z) alone."""
     kmeans_seed = int(np.random.SeedSequence([seed, K, z, 1]).generate_state(1)[0])
     return kmeans(embedding.Y, K, seed=kmeans_seed)
 
 
-def _tau_iteration(
-    graph: MultilayerGraph,
-    prepared: tuple,
-    w: LayerWeights,
-    K: int,
-    tau: float,
-    trace_index: int,
-    seed: int,
-    z: int,
-    alpha: tuple[float, ...],
-    alpha_prime: tuple[float, ...],
-    eta: float,
-    reliable: list[ReliableCandidate],
-) -> TraceRecord:
-    agg, sub, component, others, disconnected = prepared
-    base = dict(index=trace_index, K=K, tau=float(tau), w=tuple(w.values), disconnected=disconnected,
-                component_size=sub.n if disconnected else None)
-    if sub.n < K + 1:
-        return TraceRecord(outcome="component_too_small", **base)
+def _candidate(
+    config: MimosaConfig, comp: _Component, embedding: SpectralEmbedding | None, w: LayerWeights,
+    K: int, z: int, index: int, levels: _Levels,
+) -> _Step:
+    """The z-th tau step of K: cluster ``comp`` (aggregated with ``w``) and test it.
 
-    sub_assignment = _embed_and_cluster(agg, K, seed, z)
+    ``embedding`` is the component's embedding when already solved (the init
+    step's, when ``w`` equals the initial weights); None solves it here.
+    Returns the step's trace record and, when every reliability test passes,
+    its candidate; the record's index is ``index``.
+    """
+    tau = config.tau_set[z - 1]
+    sub = comp.graph
+    base = dict(index=index, K=K, tau=tau, w=tuple(w.values), disconnected=comp.nodes is not None,
+                component_size=comp.size)
+    if sub.n < K + 1:
+        return TraceRecord(outcome="component_too_small", **base), None
+
+    seed = int(config.seed)
+    if embedding is None:
+        embedding = _embed(comp, K, seed, z)
+    sub_assignment = _cluster(embedding, K, seed, z)
     base["cluster_sizes"] = tuple(int(s) for s in sub_assignment.sizes)
 
     if sub_assignment.n_min < K:
-        return TraceRecord(outcome="degenerate_cluster", **base)
+        return TraceRecord(outcome="degenerate_cluster", **base), None
 
     est = estimate_noise(sub, sub_assignment)
     min_p, min_arg = _vtest_scan(est, sub_assignment)
     base["vtest_min_p"] = min_p
     base["vtest_min_arg"] = min_arg
-    if min_p <= eta:
-        return TraceRecord(outcome="homogeneity_reject", **base)
+    if min_p <= config.eta:
+        return TraceRecord(outcome="homogeneity_reject", **base), None
 
     sums = cluster_partial_sums(sub, sub_assignment, w)
     t_lb_hat = float(sums.min() / ((K - 1) * sub_assignment.n_max))
@@ -444,7 +451,8 @@ def _tau_iteration(
         t_lb_hat=t_lb_hat,
     )
 
-    glrt = tuple(glrt_identical_noise(est, layer, alpha[layer]).accept for layer in range(graph.L))
+    alpha, alpha_prime = levels
+    glrt = tuple(glrt_identical_noise(est, layer, a).accept for layer, a in enumerate(alpha))
     base["glrt_accepts"] = glrt
     route = None
     if all(glrt):
@@ -452,26 +460,21 @@ def _tau_iteration(
             route = "identical"
     else:
         ans = tuple(
-            anscombe_nonidentical_test(est, layer, t_lb_hat, alpha_prime[layer]).accept
-            for layer in range(graph.L)
+            anscombe_nonidentical_test(est, layer, t_lb_hat, a).accept for layer, a in enumerate(alpha_prime)
         )
         base["anscombe_accepts"] = ans
         if all(ans) and t_max_w < t_lb_hat:
             route = "nonidentical"
 
     if route is None:
-        return TraceRecord(outcome="not_reliable", **base)
+        return TraceRecord(outcome="not_reliable", **base), None
 
-    if component is not None:
-        assignment = _full_assignment(graph.n, component, sub_assignment.labels, others, K)
-    else:
-        assignment = sub_assignment
     ratio = snr(t_lb_hat, t_hat_w)
-    reliable.append(ReliableCandidate(
-        w=w, assignment=assignment, snr=ratio, K=K, tau=float(tau), trace_index=trace_index,
+    candidate = ReliableCandidate(
+        w=w, assignment=comp.lift(sub_assignment), snr=ratio, K=K, tau=tau, trace_index=index,
         t_lb_hat=t_lb_hat, t_hat_w=t_hat_w, t_max_w=t_max_w, route=route,
-    ))
-    return TraceRecord(outcome="reliable", route=route, reliable=True, snr=ratio, **base)
+    )
+    return TraceRecord(outcome="reliable", route=route, reliable=True, snr=ratio, **base), candidate
 
 
 # ---------------------------------------------------------------------------

@@ -236,35 +236,32 @@ class GeneralRimParams:
         if self.weight_distribution not in ("constant", "uniform"):
             raise ValueError("weight_distribution must be 'constant' or 'uniform'")
 
-        object.__setattr__(self, "_noise_p", self._expand(self.noise_probs, "noise_probs", 0.0))
-        object.__setattr__(self, "_noise_w", self._expand(self.noise_weight_means, "noise_weight_means", 1.0))
-        if not np.all((self._noise_p >= 0.0) & (self._noise_p <= 1.0)):
+        noise_p = self._noise_spec(self.noise_probs, "noise_probs", 0.0)
+        noise_w = self._noise_spec(self.noise_weight_means, "noise_weight_means", 1.0)
+        if not np.all((noise_p >= 0.0) & (noise_p <= 1.0)):
             raise ValueError("noise probabilities must be in [0, 1]")
-        bad = (self._noise_p > 0.0) & ~((self._noise_w > 0.0) & np.isfinite(self._noise_w))
-        iu = np.triu_indices(K, k=1)
-        if any(bad[layer][iu].any() for layer in range(L)):
+        # only blocks above the diagonal are sampled; an (L, 1, 1) spec stands for all of them
+        bad = (noise_p > 0.0) & ~((noise_w > 0.0) & np.isfinite(noise_w))
+        if bad.shape[1] > 1:
+            bad = np.triu(bad, k=1)
+        if K > 1 and bad.any():
             raise ValueError("noise weight means must be positive and finite wherever the probability is positive")
+        # read-only (L, K, K) views; a compact spec is broadcast, not copied
+        object.__setattr__(self, "_noise_p", np.broadcast_to(noise_p, (L, K, K)))
+        object.__setattr__(self, "_noise_w", np.broadcast_to(noise_w, (L, K, K)))
 
-    def _expand(self, value, name: str, default: float) -> np.ndarray:
-        """Normalize a scalar / per-layer / full (L, K, K) spec to (L, K, K)."""
+    def _noise_spec(self, value, name: str, default: float) -> np.ndarray:
+        """A scalar / per-layer / full (L, K, K) spec as shape (L, 1, 1) or (L, K, K)."""
         K = len(self.cluster_sizes)
         L = self.n_layers
-        if value is None:
-            out = np.full((L, K, K), default)
-        else:
-            arr = np.asarray(value, dtype=np.float64)
-            if arr.ndim == 0:
-                out = np.full((L, K, K), float(arr))
-            elif arr.shape == (L,):
-                out = np.repeat(arr, K * K).reshape(L, K, K)
-            elif arr.shape == (L, K, K):
-                if not np.allclose(arr, np.swapaxes(arr, 1, 2), atol=0.0, rtol=0.0):
-                    raise ValueError(f"{name} per-pair matrices must be symmetric")
-                out = arr.copy()
-            else:
-                raise ValueError(f"{name} must be scalar, shape ({L},), or ({L}, {K}, {K})")
-        out.setflags(write=False)
-        return out
+        arr = np.asarray(default if value is None else value, dtype=np.float64)
+        if arr.ndim == 0 or arr.shape == (L,):
+            return np.broadcast_to(arr, (L,)).reshape(L, 1, 1).copy()
+        if arr.shape != (L, K, K):
+            raise ValueError(f"{name} must be scalar, shape ({L},), or ({L}, {K}, {K})")
+        if not np.array_equal(arr, np.swapaxes(arr, 1, 2)):
+            raise ValueError(f"{name} per-pair matrices must be symmetric")
+        return arr.copy()
 
     @property
     def n(self) -> int:

@@ -416,6 +416,22 @@ def test_sweep_rejects_non_finite_axis(tmp_path, capsys, axis):
     assert err == f"error: axis: start, stop and step must be finite in {axis!r}\n"
 
 
+@pytest.mark.parametrize("axes, message", [
+    ("axis = p1:0:1:1e-15", "axis: more than 10000 points in 'p1:0:1:1e-15'"),
+    ("axis = p1:-1e308:1e308:1e-300", "axis: more than 10000 points in 'p1:-1e308:1e308:1e-300'"),
+    ("axis = p1:0:1:0.001\naxis2 = p2:0:1:0.01", "axis2: more than 9 points in 'p2:0:1:0.01'"),
+], ids=["one-axis", "infinite-span", "two-axes"])
+def test_sweep_rejects_a_grid_over_the_point_limit(tmp_path, capsys, axes, message):
+    # the first used to ask np.arange for 10^15 values (an _ArrayMemoryError
+    # traceback), the second to end in an OverflowError traceback, and two
+    # axes of 1001 x 101 points would build every point's parameters up front
+    spec = SWEEP_SPEC.replace("axis = p1:0.1:0.1:0.05", axes).replace("p2 = 0.1\n", "")
+    code, out, err = run_cli(capsys, "sweep", write(tmp_path / "big.cfg", spec))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}; a sweep grid has at most 10000 points over all axes\n"
+    assert "Traceback" not in err
+
+
 MIMOSA_SWEEP_SPEC = """\
 axis = p1:0.02:0.04:0.02
 p2 = 0.03

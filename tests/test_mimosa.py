@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from mlsgc import (
+    ConvergenceError,
     GeneralRimParams,
     LayerWeights,
     MimosaConfig,
@@ -183,17 +184,19 @@ def test_reliable_vtest_fields_match_dense_blocks(reliable_three_cluster_result)
 
 
 def test_each_candidate_aggregates_and_counts_blocks_once(reliable_three_cluster_result, monkeypatch):
-    # tau = 0 leaves w_ini unchanged, so it reuses the initial component:
-    # one aggregation per run plus one per tau > 0 and K; one noise
-    # estimate per K plus one per candidate that reaches the V-scan
+    # tau = 0 leaves w_ini unchanged, so it reuses the initial component and
+    # the init step's embedding: one aggregation per run plus one per tau > 0
+    # and K; one eigensolve per K plus one per tau > 0, and one K-means per
+    # step; one noise estimate per K plus one per candidate that reaches the
+    # V-scan
     graph, _, expected = reliable_three_cluster_result
-    counts = {"aggregate": 0, "estimate_noise": 0}
+    counts = {"aggregate": 0, "estimate_noise": 0, "smallest_eigenpairs": 0, "kmeans": 0}
     for name in counts:
         real = getattr(mimosa, name)
 
-        def counted(*args, _real=real, _name=name):
+        def counted(*args, _real=real, _name=name, **kwargs):
             counts[_name] += 1
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(mimosa, name, counted)
     result = run_mimosa(graph, MimosaConfig(seed=0))
@@ -202,8 +205,50 @@ def test_each_candidate_aggregates_and_counts_blocks_once(reliable_three_cluster
     n_k = sum(rec.tau is None for rec in result.trace)
     scanned = sum(rec.vtest_min_p is not None for rec in result.trace)
     assert n_k == 2
-    assert counts["aggregate"] == 1 + (len(MimosaConfig().tau_set) - 1) * n_k
+    taus = len(MimosaConfig().tau_set)
+    assert counts["aggregate"] == 1 + (taus - 1) * n_k
+    assert counts["smallest_eigenpairs"] == (1 + (taus - 1)) * n_k
+    assert counts["kmeans"] == (1 + taus) * n_k
     assert counts["estimate_noise"] == n_k + scanned
+
+
+def test_eigensolver_failure_keeps_the_trace_up_to_the_failing_step(reliable_three_cluster_result, monkeypatch):
+    graph, _, expected = reliable_three_cluster_result
+    real = mimosa.smallest_eigenpairs
+
+    def failing(agg, K, **kwargs):
+        if K == 3:
+            raise ConvergenceError("ARPACK eigensolver failed: test", residual=float("nan"))
+        return real(agg, K, **kwargs)
+
+    monkeypatch.setattr(mimosa, "smallest_eigenpairs", failing)
+    with pytest.raises(ConvergenceError) as info:
+        run_mimosa(graph, MimosaConfig(seed=0))
+    # K = 2 logs its init step and eight tau steps; K = 3 fails in its init step
+    assert info.value.mimosa_trace == expected.trace[:9]
+
+
+def test_disconnected_graph_clusters_its_largest_component(reliable_three_cluster_result):
+    # the three-cluster instance plus a separate two-node component: the
+    # component gives the connected run's selection, and the pair becomes
+    # one pseudo-cluster labeled K
+    graph, _, connected = reliable_three_cluster_result
+    pair = sparse.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    extended = MultilayerGraph.from_matrices(
+        graph.node_ids + ("zz0", "zz1"),
+        [sparse.block_diag((layer, pair)) for layer in graph.layers],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = run_mimosa(extended, MimosaConfig(seed=0))
+    assert result.status == "found"
+    assert result.K == 3
+    assert result.assignment.K == 4
+    assert np.array_equal(result.assignment.labels[:300], connected.assignment.labels)
+    assert result.assignment.labels[300:].tolist() == [3, 3]
+    assert result.snr == connected.snr
+    assert all(rec.disconnected and rec.component_size == 300 for rec in result.trace)
+    assert all(candidate.assignment.labels[300:].tolist() == [3, 3] for candidate in result.reliable_set)
 
 
 def test_very_sparse_noise_stops_at_a_clean_merge():
@@ -371,3 +416,15 @@ def test_disconnected_warning_is_issued_once_per_run():
     assert all(rec.disconnected for rec in result.trace)
     messages = [str(w.message) for w in caught if "aggregated graph is disconnected" in str(w.message)]
     assert messages == ["aggregated graph is disconnected; clustering its largest component (60 of 62 nodes)"]
+
+
+def test_disconnected_warning_points_at_the_caller():
+    graph = _pure_noise_instance(600)
+    pair = sparse.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    extended = MultilayerGraph.from_matrices(
+        graph.node_ids + ("zz0", "zz1"),
+        [sparse.block_diag((layer, pair)) for layer in graph.layers],
+    )
+    with pytest.warns(UserWarning, match="aggregated graph is disconnected") as caught:
+        run_mimosa(extended, MimosaConfig(seed=0, max_k=2))
+    assert [w.filename for w in caught] == [__file__]

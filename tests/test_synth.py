@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,48 @@ def test_rim_validation():
 def test_rim_params_reject_non_finite(spec):
     with pytest.raises(ValueError):
         GeneralRimParams(cluster_sizes=(10, 10), n_layers=1, **spec)
+
+
+def test_rim_compact_noise_specs_read_as_their_dense_expansion():
+    # scalar and per-layer specs stay compact; every block reads the value a
+    # dense (L, K, K) expansion holds, and a full array reads back verbatim
+    full = np.array([[[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.9]]] * 2)
+    for probs, means in ((0.1, 2.0), ((0.1, 0.4), (1.5, 3.0)), (full, 0.5), ((0.2, 0.3), full + 1.0)):
+        params = GeneralRimParams(cluster_sizes=(4, 5, 6), n_layers=2, within_probs=np.full((2, 3), 0.5),
+                                  noise_probs=probs, noise_weight_means=means)
+        dense = [np.asarray(v, dtype=float) for v in (probs, means)]
+        dense = [np.broadcast_to(v if v.ndim == 3 else (v * np.ones(2)).reshape(2, 1, 1), (2, 3, 3)) for v in dense]
+        for layer, i, j in itertools.product(range(2), range(3), range(3)):
+            assert params.noise_prob(layer, i, j) == dense[0][layer, i, j]
+            assert params.noise_weight_mean(layer, i, j) == dense[1][layer, i, j]
+        expected = dense[0] * dense[1]
+        expected[:, [0, 1, 2], [0, 1, 2]] = 0.0
+        assert np.array_equal(params.noise_level_matrix(), expected)
+    # a bad mean counts only where a between-cluster block is sampled
+    with pytest.raises(ValueError, match="positive and finite"):
+        GeneralRimParams(cluster_sizes=(4, 5), n_layers=2, within_probs=np.full((2, 2), 0.5),
+                         noise_probs=(0.0, 0.1), noise_weight_means=(1.0, -1.0))
+    GeneralRimParams(cluster_sizes=(4, 5), n_layers=2, within_probs=np.full((2, 2), 0.5),
+                     noise_probs=(0.0, 0.1), noise_weight_means=(-1.0, 1.0))
+    GeneralRimParams(cluster_sizes=(9,), n_layers=1, within_probs=np.full((1, 1), 0.5),
+                     noise_probs=0.1, noise_weight_means=0.0)
+    with pytest.raises(ValueError, match="symmetric"):
+        GeneralRimParams(cluster_sizes=(4, 5, 6), n_layers=2, within_probs=np.full((2, 3), 0.5),
+                         noise_probs=full + np.triu(np.ones((3, 3)), k=1) * 0.01)
+
+
+def test_rim_params_allocate_no_per_block_arrays_for_compact_specs():
+    # scalar and per-layer specs used to be expanded to dense (L, K, K)
+    # arrays before sampling: a 41 MiB peak at K = 1000, L = 2
+    tracemalloc.start()
+    try:
+        params = GeneralRimParams(cluster_sizes=(1,) * 1000, n_layers=2, within_probs=np.zeros((2, 1000)),
+                                  noise_probs=(0.1, 0.2), noise_weight_means=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert params.noise_level(1, 998, 999) == 0.2 * 2.0
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
