@@ -541,12 +541,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 4
+    except (ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -92,6 +92,13 @@ def _validate_layer(mat: sparse.csr_array, n: int, layer: int) -> None:
 class MultilayerGraph:
     """``L`` sparse symmetric nonnegative weight matrices over a common node set.
 
+    The constructor checks every layer: square of the node count, finite and
+    positive stored weights, zero diagonal, exact symmetry.  Build one from
+    matrices with :meth:`from_matrices`, or from undirected edge lists with
+    :meth:`from_edges`, which also rejects a layer that lists a pair twice,
+    a self-loop, or a weight that is zero; the edge-list parser and both
+    synthetic generators build their graphs through it.
+
     Attributes:
         node_ids: ordered external string identifiers; the storage order of
             every matrix row/column.  Assigned in code-point order (Python
@@ -133,6 +140,35 @@ class MultilayerGraph:
         ids = tuple(node_ids)
         layers = tuple(_canonical_csr(m, len(ids)) for m in matrices)
         return cls(node_ids=ids, layers=layers)
+
+    @classmethod
+    def from_edges(
+        cls,
+        node_ids: Sequence[str],
+        edges: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ) -> "MultilayerGraph":
+        """Build a graph from one ``(u, v, weight)`` column triple per layer.
+
+        ``u`` and ``v`` index ``node_ids``, and each undirected edge is listed
+        once.  Both orientations are stored, and each layer is canonicalized
+        before the next is read, so one layer's symmetric COO exists at a time.
+
+        Raises:
+            ValueError: a layer lists a pair twice (in either orientation), a
+                self-loop, or a weight that is zero (each leaves fewer than
+                two stored entries per listed edge), or fails a check of the
+                constructor.
+        """
+        ids = tuple(node_ids)
+        n = len(ids)
+        layers = []
+        for layer, (u, v, w) in enumerate(edges):
+            mat = _canonical_csr(sparse.coo_array(
+                (np.concatenate((w, w)), (np.concatenate((u, v)), np.concatenate((v, u)))), shape=(n, n)), n)
+            if mat.nnz < 2 * len(u):
+                raise ValueError(f"layer {layer}: a pair listed twice, a self-loop, or a zero weight")
+            layers.append(mat)
+        return cls(node_ids=ids, layers=tuple(layers))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultilayerGraph):
@@ -258,11 +294,14 @@ def parse_multilayer_edge_list(source: str | IO[str]) -> MultilayerGraph:
     """Parse a multilayer edge-list file into a :class:`MultilayerGraph`.
 
     Node indices are assigned by code-point order of all distinct node
-    identifiers (Python ``sorted``), independent of row order.  Each
-    undirected edge is stored symmetrically.  The text is tokenized in
-    pieces into numeric columns, so memory grows about linearly in the
-    number of edges; a file that fails any check is read again line by line
-    to name the first offending line.
+    identifiers (Python ``sorted``), independent of row order.  The text is
+    tokenized in pieces into numeric columns, which checks field counts,
+    number syntax, layer indices and node ids; :meth:`MultilayerGraph.from_edges`
+    then stores each layer symmetrically and rejects self-loops, weights that
+    are not positive and finite, and pairs listed twice.  Memory grows about
+    linearly in the number of edges, with one layer's symmetric copy at a
+    time.  A file that fails any check is read again line by line to name
+    the first offending line.
 
     Args:
         source: the file text, or a readable text stream.
@@ -277,16 +316,13 @@ def parse_multilayer_edge_list(source: str | IO[str]) -> MultilayerGraph:
             either orientation.
     """
     text = source.read() if hasattr(source, "read") else source
-    parsed = _edge_columns(text)
-    if parsed is None:
-        _raise_first_error(text)
-    node_ids, edges = parsed
-    n = len(node_ids)
-    matrices = [
-        sparse.coo_array((np.concatenate((w, w)), (np.concatenate((u, v)), np.concatenate((v, u)))), shape=(n, n))
-        for u, v, w in edges
-    ]
-    return MultilayerGraph.from_matrices(node_ids, matrices)
+    columns = _edge_columns(text)
+    if columns is not None:
+        try:
+            return MultilayerGraph.from_edges(*columns)
+        except ValueError:
+            pass
+    _raise_first_error(text)
 
 
 # Characters per piece of text; a piece ends just after a "\n", which is also
@@ -336,11 +372,13 @@ def _piece_columns(piece: str, codes: dict[str, int]) -> tuple[np.ndarray, ...] 
     )
 
 
-def _edge_columns(text: str) -> tuple[tuple[str, ...], list[tuple[np.ndarray, np.ndarray, np.ndarray]]] | None:
-    """Sorted node ids and, per layer, the (u, v, weight) columns of its edges.
+def _edge_columns(text: str) -> tuple[tuple[str, ...], Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]] | None:
+    """Sorted node ids and, layer by layer, the (u, v, weight) columns of its edges.
 
-    ``u`` and ``v`` index the node ids.  Returns None when any check of the
-    parser fails.
+    ``u`` and ``v`` index the node ids; each layer's columns are gathered
+    when the iteration reaches it.  Returns None when a record has the wrong
+    field count or a bad number, a layer index is out of range, or a node id
+    is unlabelable; every other check is left to the graph.
     """
     codes: dict[str, int] = {}
     parts = []
@@ -353,15 +391,13 @@ def _edge_columns(text: str) -> tuple[tuple[str, ...], list[tuple[np.ndarray, np
     except (ValueError, OverflowError):
         return None
     if not parts:
-        return (), []
+        return (), ()
     layer, u, v, weight = map(np.concatenate, zip(*parts))
     node_ids = tuple(sorted(codes))
     n = len(node_ids)
     if any(map(_unlabelable, node_ids)):
         return None
     if layer.size and (layer.min() < 0 or layer.max() >= MAX_LAYERS):
-        return None
-    if np.any(u == v) or not (np.all(np.isfinite(weight)) and np.all(weight > 0.0)):
         return None
     position = np.empty(n, np.int64)
     position[np.fromiter(map(codes.__getitem__, node_ids), np.int64, n)] = np.arange(n)
@@ -370,15 +406,8 @@ def _edge_columns(text: str) -> tuple[tuple[str, ...], list[tuple[np.ndarray, np
     order = np.argsort(layer.astype(np.int16), kind="stable")
     n_layers = int(layer.max()) + 1 if layer.size else 0
     bounds = np.searchsorted(layer[order], np.arange(n_layers + 1))
-    # n is at most twice the edge count, so lo * n + hi cannot overflow int64
-    pair = np.minimum(u, v) * n + np.maximum(u, v)
-    edges = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        keys = np.sort(pair[order[a:b]])
-        if np.any(keys[1:] == keys[:-1]):
-            return None
-        edges.append((u[order[a:b]], v[order[a:b]], weight[order[a:b]]))
-    return node_ids, edges
+    rows = (order[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
+    return node_ids, ((u[r], v[r], weight[r]) for r in rows)
 
 
 def _unlabelable(node: str) -> bool:

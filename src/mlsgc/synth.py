@@ -158,16 +158,22 @@ def generate_two_layer(params: TwoLayerCorrelatedParams) -> tuple[MultilayerGrap
                 rows.append(bi + si.start)
                 cols.append(bj + sj.start)
 
-    def build(rows: list[np.ndarray], cols: list[np.ndarray]) -> sparse.coo_array:
-        r = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        c = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-        data = np.ones(r.size + c.size)
-        return sparse.coo_array(
-            (data, (np.concatenate((r, c)), np.concatenate((c, r)))), shape=(n, n)
-        )
-
-    graph = MultilayerGraph.from_matrices(_node_ids(n), [build(rows1, cols1), build(rows2, cols2)])
+    layers = ((np.concatenate(rows), np.concatenate(cols)) for rows, cols in ((rows1, cols1), (rows2, cols2)))
+    graph = MultilayerGraph.from_edges(_node_ids(n), ((r, c, np.ones(r.size)) for r, c in layers))
     return graph, _truth_assignment(params.cluster_sizes)
+
+
+def _within_block(block, size: int, name: str) -> sparse.csr_array:
+    """A canonical float64 CSR copy of a within-cluster block, checked to be
+    ``size x size`` and exactly symmetric."""
+    mat = sparse.csr_array(block, dtype=np.float64, copy=True)
+    if mat.shape != (size, size):
+        raise ValueError(f"{name}: expected shape {(size, size)} for a cluster of {size} nodes, got {mat.shape}")
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    if (mat != mat.T).nnz != 0:
+        raise ValueError(f"{name}: weight matrix must be exactly symmetric")
+    return mat
 
 
 @dataclass(frozen=True)
@@ -184,9 +190,11 @@ class GeneralRimParams:
             probabilities, shape (L, K); generated within-cluster subgraphs
             are Bernoulli with unit weights.
         within_graphs: explicit within-cluster weight matrices, nested
-            ``[layer][cluster]`` (each a dense or sparse symmetric
-            nonnegative matrix of the cluster's size).  Lets callers reuse
-            identical signal across graphs that differ only in noise.
+            ``[layer][cluster]`` (each a dense or sparse, exactly symmetric,
+            nonnegative matrix of the cluster's size; kept as canonical CSR
+            copies, whose entries above the diagonal become the edges).
+            Lets callers reuse identical signal across graphs that differ
+            only in noise.
         noise_probs: between-cluster edge probabilities — a scalar per layer
             (length-L sequence, all blocks alike) or a full (L, K, K)
             symmetric array (diagonal ignored).
@@ -232,7 +240,12 @@ class GeneralRimParams:
             graphs = tuple(tuple(layer) for layer in self.within_graphs)
             if len(graphs) != L or any(len(layer) != K for layer in graphs):
                 raise ValueError(f"within_graphs must be nested (L={L}) x (K={K})")
-            object.__setattr__(self, "within_graphs", graphs)
+            blocks = tuple(
+                tuple(_within_block(block, size, f"within_graphs[{layer}][{k}]")
+                      for k, (block, size) in enumerate(zip(row, self.cluster_sizes)))
+                for layer, row in enumerate(graphs)
+            )
+            object.__setattr__(self, "within_graphs", blocks)
         if self.weight_distribution not in ("constant", "uniform"):
             raise ValueError("weight_distribution must be 'constant' or 'uniform'")
 
@@ -297,67 +310,55 @@ def generate_rim(params: GeneralRimParams) -> tuple[MultilayerGraph, ClusterAssi
         The graph and the planted ground-truth assignment.
     """
     rng = np.random.default_rng(params.seed)
-    n = params.n
-    K = len(params.cluster_sizes)
     slices = _cluster_slices(params.cluster_sizes)
-    matrices = []
-
-    for layer in range(params.n_layers):
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-
-        for k in range(K):
-            sl = slices[k]
-            size = sl.stop - sl.start
-            if params.within_probs is not None:
-                iu, ju = np.triu_indices(size, k=1)
-                mask = rng.random(iu.size) < params.within_probs[layer, k]
-                rows.append(iu[mask] + sl.start)
-                cols.append(ju[mask] + sl.start)
-                data.append(np.ones(int(mask.sum())))
-            else:
-                block = sparse.coo_array(sparse.csr_array(
-                    np.asarray(params.within_graphs[layer][k].toarray()
-                               if sparse.issparse(params.within_graphs[layer][k])
-                               else params.within_graphs[layer][k], dtype=np.float64)
-                ))
-                upper = block.row < block.col
-                rows.append(block.row[upper] + sl.start)
-                cols.append(block.col[upper] + sl.start)
-                data.append(block.data[upper])
-
-        for ki in range(K):
-            for kj in range(ki + 1, K):
-                p = params.noise_prob(layer, ki, kj)
-                if p <= 0.0:
-                    continue
-                si, sj = slices[ki], slices[kj]
-                mask = rng.random((si.stop - si.start, sj.stop - sj.start)) < p
-                bi, bj = np.nonzero(mask)
-                mean = params.noise_weight_mean(layer, ki, kj)
-                if params.weight_distribution == "constant":
-                    weights = np.full(bi.size, mean)
-                else:
-                    weights = rng.uniform(0.0, 2.0 * mean, size=bi.size)
-                    keep = weights > 0.0  # drop measure-zero exact zeros
-                    weights, bi, bj = weights[keep], bi[keep], bj[keep]
-                rows.append(bi + si.start)
-                cols.append(bj + sj.start)
-                data.append(weights)
-
-        r = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        c = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-        d = np.concatenate(data) if data else np.empty(0)
-        matrices.append(
-            sparse.coo_array(
-                (np.concatenate((d, d)), (np.concatenate((r, c)), np.concatenate((c, r)))),
-                shape=(n, n),
-            )
-        )
-
-    graph = MultilayerGraph.from_matrices(_node_ids(n), matrices)
+    edges = (_rim_layer(params, layer, slices, rng) for layer in range(params.n_layers))
+    graph = MultilayerGraph.from_edges(_node_ids(params.n), edges)
     return graph, _truth_assignment(params.cluster_sizes)
+
+
+def _rim_layer(params: GeneralRimParams, layer: int, slices: list[slice],
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (u, v, weight) columns of one layer, each undirected edge once."""
+    K = len(slices)
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    data: list[np.ndarray] = []
+
+    for k, sl in enumerate(slices):
+        size = sl.stop - sl.start
+        if params.within_probs is not None:
+            iu, ju = np.triu_indices(size, k=1)
+            mask = rng.random(iu.size) < params.within_probs[layer, k]
+            rows.append(iu[mask] + sl.start)
+            cols.append(ju[mask] + sl.start)
+            data.append(np.ones(int(mask.sum())))
+        else:
+            block = params.within_graphs[layer][k].tocoo()
+            upper = block.row < block.col
+            rows.append(block.row[upper] + sl.start)
+            cols.append(block.col[upper] + sl.start)
+            data.append(block.data[upper])
+
+    for ki in range(K):
+        for kj in range(ki + 1, K):
+            p = params.noise_prob(layer, ki, kj)
+            if p <= 0.0:
+                continue
+            si, sj = slices[ki], slices[kj]
+            mask = rng.random((si.stop - si.start, sj.stop - sj.start)) < p
+            bi, bj = np.nonzero(mask)
+            mean = params.noise_weight_mean(layer, ki, kj)
+            if params.weight_distribution == "constant":
+                weights = np.full(bi.size, mean)
+            else:
+                weights = rng.uniform(0.0, 2.0 * mean, size=bi.size)
+                keep = weights > 0.0  # drop measure-zero exact zeros
+                weights, bi, bj = weights[keep], bi[keep], bj[keep]
+            rows.append(bi + si.start)
+            cols.append(bj + sj.start)
+            data.append(weights)
+
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
 
 
 def detectability(found: ClusterAssignment, truth: ClusterAssignment) -> float:

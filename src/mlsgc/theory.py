@@ -108,14 +108,14 @@ def cluster_partial_sums(
 
     Raises:
         ClusterTooSmallError: some cluster has fewer than K nodes.
+        ValueError: ``weights`` does not have one entry per layer (raised by
+            :func:`aggregate`).
     """
     K = assignment.K
     if assignment.n_min < K:
         raise ClusterTooSmallError(
             f"every cluster needs at least K={K} nodes; smallest has {assignment.n_min}"
         )
-    if len(weights) != graph.L:
-        raise ValueError(f"weight vector has {len(weights)} entries for {graph.L} layers")
     agg = aggregate(graph, weights)
     sums = np.array([_partial_sum(subgraph_laplacian(agg.weight_matrix, assignment.members(k)), K)
                      for k in range(K)])

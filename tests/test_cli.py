@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlsgc.cli
+import mlsgc.spectral
 
 from mlsgc import (
     ClusterAssignment,
@@ -636,3 +642,81 @@ def test_theory_check_arpack_failure_exits_4(large_graph_files, arpack_fails, ca
     assert out == ""
     assert err.startswith("numerical failure:")
     assert "Traceback" not in err
+
+
+def _lapack_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_cluster_dense_eigh_failure_exits_4(tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError; it must not be reported as an input error
+    edges, _, _ = cliques_files(tmp_path)
+    monkeypatch.setattr(mlsgc.spectral.linalg, "eigh", _lapack_fails)
+    code, out, err = run_cli(capsys, "cluster", edges, "--k", "2")
+    assert code == 4
+    assert out == ""
+    assert err == "numerical failure: Eigenvalues did not converge\n"
+
+
+def test_theory_check_eigvalsh_failure_exits_4(tmp_path, monkeypatch, capsys):
+    edges, labels, _ = cliques_files(tmp_path)
+    monkeypatch.setattr(mlsgc.spectral.np.linalg, "eigvalsh", _lapack_fails)
+    code, out, err = run_cli(capsys, "theory-check", edges, labels)
+    assert code == 4
+    assert out == ""
+    assert err == "numerical failure: Eigenvalues did not converge\n"
+
+
+# ------------------------------------------------------- exit-code property
+
+# weights at both ends of the float range: strengths that overflow, and
+# subnormals whose Laplacians underflow
+_EXTREME_WEIGHTS = st.one_of(
+    st.sampled_from([1.0, 1e308, 5e-324, 1e-310, 1e-300, 2.5]),
+    st.floats(1e-3, 1e3),
+)
+
+
+@st.composite
+def small_cli_inputs(draw):
+    """Edge-list and label-file texts on at most 12 nodes, and a cluster count."""
+    n = draw(st.integers(2, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    lines = []
+    for layer in range(draw(st.integers(1, 2))):
+        # few edges leave the graph disconnected, many make it dense
+        for a, b in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=min(len(pairs), 20))):
+            lines.append(f"{layer}\tv{a:02d}\tv{b:02d}\t{draw(_EXTREME_WEIGHTS)!r}\n")
+    nodes = sorted({field for line in lines for field in line.split("\t")[1:3]})
+    k = draw(st.one_of(st.just(max(len(nodes) - 1, 1)), st.integers(1, max(len(nodes), 1))))
+    # contiguous blocks pass theory-check's cluster-size checks more often than random labels
+    blocks = draw(st.integers(1, 3))
+    labels = draw(st.one_of(
+        st.just([i * blocks // max(len(nodes), 1) for i in range(len(nodes))]),
+        st.lists(st.integers(0, blocks - 1), min_size=len(nodes), max_size=len(nodes)),
+    ))
+    label_text = "".join(f"{node}\t{label}\n" for node, label in zip(nodes, labels))
+    return "".join(lines), label_text, k
+
+
+@given(small_cli_inputs())
+@settings(max_examples=100, deadline=None)
+def test_every_command_exits_with_a_documented_code(inputs):
+    edge_text, label_text, k = inputs
+    with tempfile.TemporaryDirectory() as work:
+        edges = write(Path(work) / "g.tsv", edge_text)
+        labels = write(Path(work) / "g.labels", label_text)
+        for argv in (["cluster", edges, "--k", str(k)],
+                     ["mimosa", edges, "--max-k", "3"],
+                     ["evaluate", edges, labels, "--truth", labels],
+                     ["theory-check", edges, labels]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(argv)
+            assert code in (0, 2, 3, 4), (argv[0], code, err.getvalue())
+            if code == 2:
+                assert err.getvalue().startswith("error:"), (argv[0], err.getvalue())
+            if code == 4:
+                assert err.getvalue().startswith("numerical failure:"), (argv[0], err.getvalue())

@@ -398,6 +398,58 @@ def test_duplicate_node_ids_rejected():
         MultilayerGraph.from_matrices(["a", "a"], [np.zeros((2, 2))])
 
 
+@st.composite
+def edge_layers(draw):
+    """Node count and per-layer (u, v, weight) columns, each pair listed once
+    in a random orientation."""
+    n = draw(st.integers(1, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    layers = []
+    for _ in range(draw(st.integers(0, 3))):
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+        flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+        weights = draw(st.lists(st.floats(5e-324, 1e308), min_size=len(chosen), max_size=len(chosen)))
+        ends = [(b, a) if flip else (a, b) for (a, b), flip in zip(chosen, flips)]
+        u = np.array([a for a, _ in ends], dtype=np.int64)
+        v = np.array([b for _, b in ends], dtype=np.int64)
+        layers.append((u, v, np.array(weights, dtype=np.float64)))
+    return n, layers
+
+
+@given(edge_layers())
+@settings(max_examples=200, deadline=None)
+def test_from_edges_equals_from_matrices_of_both_orientations(case):
+    n, layers = case
+    both = [
+        sparse.coo_array((np.concatenate((w, w)), (np.concatenate((u, v)), np.concatenate((v, u)))), shape=(n, n))
+        for u, v, w in layers
+    ]
+    built = MultilayerGraph.from_edges(ids(n), iter(layers))
+    expected = MultilayerGraph.from_matrices(ids(n), both)
+    assert built == expected
+    for got, want in zip(built.layers, expected.layers):
+        assert (got.indptr.dtype, got.indices.dtype) == (want.indptr.dtype, want.indices.dtype)
+
+
+@pytest.mark.parametrize("bad", [
+    ([0, 0], [1, 1], [1.0, 2.0]),  # the pair 0-1 listed twice
+    ([0, 1], [1, 0], [1.0, 1.0]),  # the pair 0-1 listed in both orientations
+    ([2], [2], [1.0]),  # a self-loop
+    ([0], [2], [0.0]),  # a zero weight
+    ([0], [2], [1e-400]),  # a weight that underflowed to zero
+], ids=["repeat", "reversed", "self-loop", "zero", "underflow"])
+def test_from_edges_names_the_layer_that_loses_an_entry(bad):
+    good = (np.array([0]), np.array([1]), np.array([1.0]))
+    columns = tuple(np.array(c) for c in bad)
+    with pytest.raises(ValueError, match=r"^layer 1: "):
+        MultilayerGraph.from_edges(ids(3), [good, columns])
+
+
+def test_from_edges_leaves_a_nan_weight_to_the_constructor():
+    with pytest.raises(ValueError, match=r"^layer 0: non-finite weight$"):
+        MultilayerGraph.from_edges(ids(2), [(np.array([0]), np.array([1]), np.array([np.nan]))])
+
+
 def test_graph_equality_by_content():
     m = adjacency_from_edges(3, [(0, 1), (1, 2)])
     assert dense_graph(ids(3), m) == dense_graph(ids(3), m)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from mlsgc import (
     ClusterAssignment,
@@ -239,6 +240,62 @@ def test_rim_within_graphs_reused_verbatim():
     assert np.array_equal(mat[:6, :6], blocks[0])
     assert np.array_equal(mat[6:, 6:], blocks[1])
     assert np.all(mat[:6, 6:] == 0.0)
+
+
+def _ring(size, weight=1.0):
+    """The dense weight matrix of a cycle on ``size`` nodes."""
+    mat = np.zeros((size, size))
+    for a in range(size):
+        b = (a + 1) % size
+        mat[a, b] = mat[b, a] = weight
+    return mat
+
+
+@pytest.mark.parametrize("block, message", [
+    (_ring(5), r"within_graphs\[0\]\[1\]: expected shape \(3, 3\) for a cluster of 3 nodes, got \(5, 5\)"),
+    (_ring(2), r"within_graphs\[0\]\[1\]: expected shape \(3, 3\) for a cluster of 3 nodes, got \(2, 2\)"),
+    (np.triu(_ring(3)), r"within_graphs\[0\]\[1\]: weight matrix must be exactly symmetric"),
+], ids=["too-large", "too-small", "asymmetric"])
+def test_rim_rejects_a_within_block_that_does_not_fit_its_cluster(block, message):
+    # a too-large block used to spill edges into the next cluster, a too-small
+    # one left nodes without within-cluster edges, and an asymmetric one was
+    # read from its upper triangle
+    with pytest.raises(ValueError, match=message):
+        GeneralRimParams(cluster_sizes=(4, 3, 5), n_layers=1,
+                         within_graphs=((_ring(4), block, _ring(5)),), noise_probs=0.2)
+
+
+@pytest.mark.parametrize("fmt", ["csr", "coo", "lil"])
+def test_rim_sparse_within_blocks_give_the_dense_copies_graph(fmt):
+    rng = np.random.default_rng(12)
+    dense = []
+    for size in (6, 9):
+        m = np.triu(rng.random((size, size)) * (rng.random((size, size)) < 0.5), k=1)
+        dense.append(m + m.T)
+    # an explicit zero and a split duplicate must read as the dense entries
+    coo = sparse.coo_array(dense[1])
+    split = sparse.coo_array((np.concatenate((coo.data / 2, coo.data / 2, [0.0, 0.0])),
+                              (np.concatenate((coo.row, coo.row, [0, 1])), np.concatenate((coo.col, coo.col, [1, 0])))),
+                             shape=coo.shape)
+    blocks = [sparse.csr_array(dense[0]).asformat(fmt), split.asformat(fmt)]
+    kwargs = dict(cluster_sizes=(6, 9), n_layers=2, noise_probs=0.3, weight_distribution="uniform", seed=4)
+    from_dense, _ = generate_rim(GeneralRimParams(within_graphs=(dense, dense), **kwargs))
+    from_sparse, _ = generate_rim(GeneralRimParams(within_graphs=(blocks, blocks), **kwargs))
+    assert from_sparse == from_dense
+
+
+def test_rim_reads_a_sparse_within_block_without_densifying_it():
+    # the block used to go through toarray(): 72 MiB for 3000 nodes
+    size = 3000
+    path = sparse.diags_array([np.ones(size - 1), np.ones(size - 1)], offsets=[-1, 1], format="csr")
+    tracemalloc.start()
+    try:
+        graph, _ = generate_rim(GeneralRimParams(cluster_sizes=(size,), n_layers=1, within_graphs=((path,),)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert graph.layers[0].nnz == 2 * (size - 1)
 
 
 def test_rim_seed_reproducibility():
