@@ -59,14 +59,15 @@ class LabelFileError(ValueError):
 
 
 def _canonical_csr(matrix: sparse.sparray | sparse.spmatrix | np.ndarray,
-                   n: int) -> sparse.csr_array:
+                   n: int, *, copy: bool = False) -> sparse.csr_array:
     """Return ``matrix`` as a canonical float64 CSR array of shape (n, n).
 
     Canonical means: duplicate entries summed, explicit zeros removed, and
     column indices sorted within each row, so equal graphs have byte-equal
-    storage.
+    storage.  This happens in place on a CSR ``matrix`` unless ``copy`` is
+    set; any other input is converted into fresh arrays first.
     """
-    mat = sparse.csr_array(matrix, shape=(n, n), dtype=np.float64)
+    mat = sparse.csr_array(matrix, shape=(n, n), dtype=np.float64, copy=copy)
     mat.sum_duplicates()
     mat.eliminate_zeros()
     mat.sort_indices()
@@ -97,7 +98,9 @@ class MultilayerGraph:
     matrices with :meth:`from_matrices`, or from undirected edge lists with
     :meth:`from_edges`, which also rejects a layer that lists a pair twice,
     a self-loop, or a weight that is zero; the edge-list parser and both
-    synthetic generators build their graphs through it.
+    synthetic generators build their graphs through it.  :meth:`edges` is
+    its inverse, and the only reader of a layer's edges: the edge-list
+    writer and :func:`degree_normalize` work from it.
 
     Attributes:
         node_ids: ordered external string identifiers; the storage order of
@@ -136,9 +139,9 @@ class MultilayerGraph:
         node_ids: Sequence[str],
         matrices: Iterable[sparse.sparray | sparse.spmatrix | np.ndarray],
     ) -> "MultilayerGraph":
-        """Build a graph from any matrix-like layers, canonicalizing storage."""
+        """Build a graph from any matrix-like layers, canonicalizing copies of them."""
         ids = tuple(node_ids)
-        layers = tuple(_canonical_csr(m, len(ids)) for m in matrices)
+        layers = tuple(_canonical_csr(m, len(ids), copy=True) for m in matrices)
         return cls(node_ids=ids, layers=layers)
 
     @classmethod
@@ -169,6 +172,22 @@ class MultilayerGraph:
                 raise ValueError(f"layer {layer}: a pair listed twice, a self-loop, or a zero weight")
             layers.append(mat)
         return cls(node_ids=ids, layers=tuple(layers))
+
+    def edges(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """One ``(u, v, weight)`` column triple per layer: the inverse of :meth:`from_edges`.
+
+        Each undirected edge appears once, with ``u < v``, sorted by
+        ``(u, v)``, so ``MultilayerGraph.from_edges(g.node_ids, g.edges()) == g``.
+        The columns are the upper triangle of each layer's canonical CSR in
+        storage order; a layer stored with unsorted or duplicate entries is
+        read from a canonical copy.
+        """
+        for mat in self.layers:
+            if not mat.has_canonical_format:
+                mat = _canonical_csr(mat, self.n, copy=True)
+            row = np.repeat(np.arange(self.n, dtype=mat.indices.dtype), np.diff(mat.indptr))
+            upper = row < mat.indices
+            yield row[upper], mat.indices[upper], mat.data[upper]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultilayerGraph):
@@ -469,18 +488,15 @@ def _raise_first_error(text: str) -> NoReturn:
 def serialize_multilayer_edge_list(graph: MultilayerGraph) -> str:
     """Serialize a graph to the edge-list format (inverse of the parser).
 
-    Rows are emitted sorted by (layer, u-index, v-index) with u < v, so a
-    parse -> serialize -> parse round trip is the identity and serialization
-    is byte-deterministic.
+    Rows are the columns of :meth:`MultilayerGraph.edges`, sorted by
+    (layer, u-index, v-index) with u < v, so a parse -> serialize -> parse
+    round trip is the identity and serialization is byte-deterministic.
     """
-    lines = []
-    for layer, mat in enumerate(graph.layers):
-        coo = mat.tocoo()
-        upper = coo.row < coo.col
-        order = np.lexsort((coo.col[upper], coo.row[upper]))
-        for r, c, w in zip(coo.row[upper][order], coo.col[upper][order], coo.data[upper][order]):
-            lines.append(f"{layer}\t{graph.node_ids[r]}\t{graph.node_ids[c]}\t{float(w)!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    node_ids = np.array(graph.node_ids, dtype=object)
+    return "".join(
+        "".join(map(f"{layer}\t{{}}\t{{}}\t{{!r}}\n".format, node_ids[u], node_ids[v], w.tolist()))
+        for layer, (u, v, w) in enumerate(graph.edges())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -526,24 +542,19 @@ def degree_normalize(graph: MultilayerGraph) -> MultilayerGraph:
     """Degree-normalize the unweighted layers of a graph.
 
     A layer counts as unweighted exactly when all its positive entries equal
-    1.0.  For such layers, each entry becomes ``1/sqrt(d_u * d_v)`` where
-    ``d`` is the node degree (neighbor count) in that layer; entries
-    incident to a zero-degree node would be zero, but such entries cannot
-    exist.  Weighted layers pass through unchanged; this function never
-    applies silently — callers opt in (e.g. the CLI ``--normalize`` flag).
+    1.0.  For such layers, each edge weight becomes ``1/sqrt(d_u * d_v)``
+    where ``d`` is the node degree (neighbor count) in that layer, counted
+    from the layer's edges.  Weighted layers pass through with equal values;
+    this function never applies silently — callers opt in (e.g. the CLI
+    ``--normalize`` flag).
     """
-    new_layers: list[sparse.csr_array] = []
-    for mat in graph.layers:
-        if mat.nnz and not np.all(mat.data == 1.0):
-            new_layers.append(mat)
-            continue
-        degrees = np.diff(mat.indptr).astype(np.float64)  # neighbor counts per row
-        coo = mat.tocoo()
-        scaled = 1.0 / np.sqrt(degrees[coo.row] * degrees[coo.col])
-        new_layers.append(
-            _canonical_csr(sparse.coo_array((scaled, (coo.row, coo.col)), shape=mat.shape), graph.n)
-        )
-    return MultilayerGraph(node_ids=graph.node_ids, layers=tuple(new_layers))
+    def normalized(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if not np.all(w == 1.0):
+            return u, v, w
+        degrees = (np.bincount(u, minlength=graph.n) + np.bincount(v, minlength=graph.n)).astype(np.float64)
+        return u, v, 1.0 / np.sqrt(degrees[u] * degrees[v])
+
+    return MultilayerGraph.from_edges(graph.node_ids, (normalized(*columns) for columns in graph.edges()))
 
 
 def aggregate(graph: MultilayerGraph, weights: LayerWeights) -> AggregatedGraph:
@@ -592,9 +603,14 @@ def connected_components(g: AggregatedGraph) -> list[np.ndarray]:
 
 
 def subgraph_laplacian(weight_matrix: sparse.csr_array, nodes: np.ndarray) -> sparse.csr_array:
-    """Laplacian of the induced subgraph on ``nodes`` (sorted index array)."""
+    """Laplacian of the induced subgraph on ``nodes`` (sorted index array).
+
+    A strength that overflows is left infinite on the diagonal, without a
+    warning; callers that can name the node check it.
+    """
     sub = weight_matrix[nodes][:, nodes]
-    strength = np.asarray(sub.sum(axis=1)).ravel()
+    with np.errstate(over="ignore"):
+        strength = np.asarray(sub.sum(axis=1)).ravel()
     lap = sparse.diags_array(strength, format="csr") - sub
     return sparse.csr_array(lap)
 
@@ -610,8 +626,19 @@ def within_cluster_laplacians(graph: MultilayerGraph, assignment) -> list[list[s
         Nested list indexed ``[layer][cluster]``; each entry is the sparse
         Laplacian of the induced subgraph on that cluster's nodes in that
         layer (a cluster of size s gives an s x s matrix with zero row sums).
+
+    Raises:
+        ValueError: the assignment does not cover the node set, or a node's
+            within-cluster strength in some layer overflows to infinity
+            (naming the layer and its first such node).
     """
     if len(assignment.labels) != graph.n:
         raise ValueError("assignment does not cover the node set")
     members = [assignment.members(k) for k in range(assignment.K)]
-    return [[subgraph_laplacian(mat, idx) for idx in members] for mat in graph.layers]
+    laplacians = [[subgraph_laplacian(mat, idx) for idx in members] for mat in graph.layers]
+    for layer, laps in enumerate(laplacians):
+        overflowed = np.concatenate([idx[~np.isfinite(lap.diagonal())] for idx, lap in zip(members, laps)])
+        if overflowed.size:
+            raise ValueError(f"layer {layer}: within-cluster strength of node {graph.node_ids[overflowed.min()]!r} "
+                             "is not finite: its edge weights are too large")
+    return laplacians

@@ -10,9 +10,10 @@ across layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
-from scipy import special
+from scipy import sparse, special
 
 from .graph_core import MultilayerGraph
 from .spectral import ClusterAssignment
@@ -114,16 +115,28 @@ def f_measure(found: ClusterAssignment, truth: ClusterAssignment) -> float:
     return total / found.K
 
 
-def _layer_cut_stats(W, labels: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Per-cluster within weight, cut weight, and the layer's total weight."""
-    n = labels.size
-    onehot = np.zeros((n, K))
-    onehot[np.arange(n), labels] = 1.0
-    blocks = onehot.T @ (W @ onehot)
-    within = np.diag(blocks) / 2.0
-    cut = blocks.sum(axis=1) - np.diag(blocks)
-    total = float(blocks.sum()) / 2.0
-    return within, cut, total
+def _layer_cut_stats(
+    found: ClusterAssignment, graph: MultilayerGraph
+) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """Per layer: each cluster's within weight and cut weight, and the layer's total weight.
+
+    Raises:
+        ValueError: the assignment does not cover the node set, or a layer's
+            weights are too large for its cut metrics to be finite.
+    """
+    if found.n != graph.n:
+        raise ValueError("assignment does not cover the node set")
+    onehot = np.zeros((found.n, found.K))
+    onehot[np.arange(found.n), found.labels] = 1.0
+    members = sparse.csr_array(onehot.T)  # H^T that adds only its stored ones, so no 0 * inf
+    for layer, W in enumerate(graph.layers):
+        blocks = members @ (W @ onehot)
+        with np.errstate(over="ignore"):
+            volume = blocks.sum()
+        if not np.isfinite(volume):
+            raise ValueError(f"layer {layer}: total edge weight is not finite: its edge weights are too large")
+        within = np.diag(blocks) / 2.0
+        yield within, blocks.sum(axis=1) - np.diag(blocks), float(volume) / 2.0
 
 
 def conductance(found: ClusterAssignment, graph: MultilayerGraph) -> float:
@@ -134,11 +147,8 @@ def conductance(found: ClusterAssignment, graph: MultilayerGraph) -> float:
     is 0); the layer value is the mean over the K clusters, and layers add.
     Lower is better.
     """
-    if found.n != graph.n:
-        raise ValueError("assignment does not cover the node set")
     total = 0.0
-    for W in graph.layers:
-        within, cut, _ = _layer_cut_stats(W, found.labels, found.K)
+    for within, cut, _ in _layer_cut_stats(found, graph):
         denom = 2.0 * within + cut
         terms = np.where(denom > 0, cut / np.where(denom > 0, denom, 1.0), 0.0)
         total += float(terms.mean())
@@ -153,11 +163,8 @@ def normalized_cut(found: ClusterAssignment, graph: MultilayerGraph) -> float:
     W_all is the layer's total edge weight; zero-denominator terms are 0.
     Lower is better.
     """
-    if found.n != graph.n:
-        raise ValueError("assignment does not cover the node set")
     total = 0.0
-    for W in graph.layers:
-        within, cut, w_all = _layer_cut_stats(W, found.labels, found.K)
+    for within, cut, w_all in _layer_cut_stats(found, graph):
         d1 = 2.0 * within + cut
         d2 = 2.0 * (w_all - within) + cut
         terms = np.where(d1 > 0, cut / np.where(d1 > 0, d1, 1.0), 0.0)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+from scipy import sparse, special
 
 from .graph_core import MultilayerGraph
 from .spectral import ClusterAssignment
@@ -119,10 +119,14 @@ def estimate_noise(graph: MultilayerGraph, assignment: ClusterAssignment) -> Noi
 
     Uses one-hot projections ``H^T A H`` / ``H^T W H`` per layer, so the cost
     is O(edges * K); the node-to-cluster counts ``A H`` are kept as
-    ``row_counts``.
+    ``row_counts``.  ``H^T`` is applied as a sparse matrix, which adds only
+    its stored ones, so a block sum is never spoiled by ``0 * inf`` from a
+    node whose sum into another cluster overflows.
 
     Raises:
-        ValueError: the assignment does not cover the graph, or K < 2.
+        ValueError: the assignment does not cover the graph, K < 2, or the
+            weight sum between two clusters of a layer overflows to infinity
+            (naming the layer and the first such pair).
     """
     if assignment.n != graph.n:
         raise ValueError("assignment does not cover the node set")
@@ -133,6 +137,7 @@ def estimate_noise(graph: MultilayerGraph, assignment: ClusterAssignment) -> Noi
     sizes = assignment.sizes.astype(np.int64)
     onehot = np.zeros((graph.n, K))
     onehot[np.arange(graph.n), assignment.labels] = 1.0
+    members = sparse.csr_array(onehot.T)  # H^T that adds only its stored ones, so no 0 * inf
 
     P = len(pairs)
     rows_i = np.array([p[0] for p in pairs])
@@ -143,14 +148,17 @@ def estimate_noise(graph: MultilayerGraph, assignment: ClusterAssignment) -> Noi
     weight_sum = np.empty((graph.L, P))
     row_counts = np.empty((graph.L, graph.n, K))
     for layer, W in enumerate(graph.layers):
-        WH = W @ onehot
-        weight_blocks = onehot.T @ WH
+        weight_blocks = members @ (W @ onehot)
         A = W.copy()
         A.data = np.ones_like(A.data)
         row_counts[layer] = A @ onehot
         count_blocks = onehot.T @ row_counts[layer]
         m[layer] = count_blocks[rows_i, rows_j]
         weight_sum[layer] = weight_blocks[rows_i, rows_j]
+        if not np.isfinite(weight_sum[layer]).all():
+            i, j = pairs[int(np.argmin(np.isfinite(weight_sum[layer])))]
+            raise ValueError(f"layer {layer}: edge weight between clusters {i} and {j} sums to infinity: "
+                             "its edge weights are too large")
 
     p_hat = m / block_pairs
     with np.errstate(invalid="ignore", divide="ignore"):

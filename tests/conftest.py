@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# BLAS sizes its thread pool when numpy is first imported; one thread keeps
+# test timings comparable (an unpinned OpenBLAS spins under contention)
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from mlsgc import spectral

@@ -35,6 +35,113 @@ from mlsgc.cli import main
 from .conftest import adjacency_from_edges, connected_random_multilayer, dense_graph, ids
 
 
+
+def run_in_process(argv):
+    """Exit code of ``main(argv)`` with stdout dropped and warnings silenced,
+    after checking the code is documented and stderr starts as it says."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv[0], code, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error:"), (argv[0], err.getvalue())
+    if code == 4:
+        assert err.getvalue().startswith("numerical failure:"), (argv[0], err.getvalue())
+    return code
+
+
+# Each params file or spec is valid except, most of the time, one key: a
+# value outside [0, 1], nan or inf, a zero size or one over the 2**25
+# node-pair budget, a ragged row, a bad name, a zero or oversized step.
+_VALID_SIZES = ["3,3", "4,4,4", "2,5", "12", "6"]
+_BAD_SIZES = ["0,3", "3,-1", "8193", "10000000000", "", "3,x"]
+_VALID_Q = [("0.3", "0.2", "0.1", "0.4"), ("0.0625", "0.1875", "0.1875", "0.5625")]
+_BAD_Q = [("nan", "0.2", "0.1", "0.4"), ("0.3", "inf", "0.1", "0.4"), ("-0.1", "0.2", "0.1", "0.8"),
+          ("1.5", "0", "0", "-0.5"), ("0.9", "0.2", "0.1", "0.4"), ("x", "0.2", "0.1", "0.4")]
+_VALID_P = ["0", "0.25", "0.5", "1"]
+_BAD_P = ["nan", "inf", "-0.1", "1.5", "x"]
+
+
+def _config(items):
+    return "".join(f"{key} = {value}\n" for key, value in items if value is not None)
+
+
+def _value(draw, key, bad_key, valid, invalid):
+    return draw(st.sampled_from(invalid if key == bad_key else valid))
+
+
+@st.composite
+def generate_params(draw):
+    """A ``generate`` params file for either generator on at most 12 nodes."""
+    rim = draw(st.booleans())
+    keys = ["generator", "cluster_sizes", "seed"] + (
+        ["n_layers", "within_probs", "noise_probs", "noise_weight_means", "weight_distribution"] if rim
+        else ["q", "p1", "p2"])
+    bad = draw(st.one_of(st.none(), st.sampled_from(keys)))
+    sizes = _value(draw, "cluster_sizes", bad, _VALID_SIZES, _BAD_SIZES)
+    items = [("generator", _value(draw, "generator", bad, ["rim" if rim else "two_layer"], ["other"])),
+             ("cluster_sizes", sizes), ("seed", _value(draw, "seed", bad, ["0", "7"], ["-1", "x"]))]
+    if not rim:
+        q = _value(draw, "q", bad, _VALID_Q, _BAD_Q)
+        return _config(items + [*zip(("q11", "q10", "q01", "q00"), q),
+                                ("p1", _value(draw, "p1", bad, _VALID_P, _BAD_P)),
+                                ("p2", _value(draw, "p2", bad, _VALID_P, _BAD_P))])
+    n_layers = draw(st.integers(1, 3))
+    K = len(sizes.split(",")) if bad != "cluster_sizes" else 2
+    row = ",".join(draw(st.sampled_from(_VALID_P)) for _ in range(K))
+    rows = [row] * n_layers
+    if bad == "within_probs":
+        rows[-1] = draw(st.sampled_from([row + ",0.5", "nan" + row[1:] if K > 1 else "nan", "1.5", "x"]))
+    return _config(items + [
+        ("n_layers", _value(draw, "n_layers", bad, [str(n_layers)], ["0", "-1", str(n_layers + 1), "x"])),
+        ("within_probs", ";".join(rows)),
+        ("noise_probs", _value(draw, "noise_probs", bad, ["0.1", ",".join(["0.2"] * n_layers)],
+                               ["nan", "2", ",".join(["0.1"] * (n_layers + 1))])),
+        ("noise_weight_means", _value(draw, "noise_weight_means", bad, [None, "1.5"], ["0", "inf", "-2"])),
+        ("weight_distribution", _value(draw, "weight_distribution", bad, [None, "constant", "uniform"], ["gamma"])),
+    ])
+
+
+# valid axes have at most 3 points; the bad ones are rejected before the grid exists
+_VALID_AXES = ["p1:0:1:0.5", "p2:0.25:0.75:0.5", "w1:0:1:1", "tau:0:1:0.5", "p1:0.5:0.5:1e-15"]
+_BAD_AXES = ["q11:0:1:0.5", "p1:0:1:0", "p1:0:1:nan", "p1:0:inf:0.5", "p1:1:0:0.5", "p1:0:1:1e-5", "p1:0:1",
+             "p1:0:1:-0.5", "p1:0:nan:0.5"]
+
+
+@st.composite
+def sweep_specs(draw):
+    """A ``sweep`` spec in either mode, each sample on at most 12 nodes."""
+    mimosa = draw(st.booleans())
+    bad = draw(st.one_of(st.none(), st.sampled_from(
+        ["axis", "axis2", "cluster_sizes", "q", "p", "w", "k", "mode", "trials", "seed"])))
+    axis = _value(draw, "axis", bad, _VALID_AXES, _BAD_AXES)
+    others = [a for a in _VALID_AXES if a.split(":")[0] != axis.split(":")[0]]
+    axis2 = _value(draw, "axis2", bad, [None, *others], [axis, "p2:0:0.5:1e-5", "p2:0:1:0"])
+    fixed = {name: _value(draw, "p", bad, _VALID_P, _BAD_P) for name in ("p1", "p2")}
+    if "w1" in (axis + str(axis2)):
+        w = None
+    else:
+        w = _value(draw, "w", bad, [None, "0.5,0.5", "1,0"], ["-1,2", "0.5", "0,0"])
+    return _config([
+        ("axis", axis), ("axis2", axis2), ("cluster_sizes", _value(draw, "cluster_sizes", bad, _VALID_SIZES, _BAD_SIZES)),
+        *zip(("q11", "q10", "q01", "q00"), _value(draw, "q", bad, _VALID_Q, _BAD_Q)), *fixed.items(), ("w", w),
+        ("k", None if mimosa else _value(draw, "k", bad, ["1", "2", "3"], ["0", "50", "x"])),
+        ("max_k", _value(draw, "k", bad, ["2", "3"], ["0", "-1"]) if mimosa else None),
+        ("mode", _value(draw, "mode", bad, ["mimosa" if mimosa else "sgc"], ["other"])),
+        ("trials", _value(draw, "trials", bad, ["1", "2"], ["0", "-1", "x"])),
+        ("seed", _value(draw, "seed", bad, ["0", "11"], ["-1", "x"])),
+    ])
+
+
+@given(generate_params(), sweep_specs())
+@settings(max_examples=100, deadline=None)
+def test_generate_and_sweep_exit_with_a_documented_code(params, spec):
+    with tempfile.TemporaryDirectory() as work:
+        run_in_process(["generate", write(Path(work) / "params.cfg", params),
+                        "--edges", str(Path(work) / "g.tsv"), "--labels", str(Path(work) / "g.labels")])
+        run_in_process(["sweep", write(Path(work) / "sweep.cfg", spec)])
+
 GENERATE_PARAMS = """\
 # three planted clusters, correlated layers
 generator = two_layer
@@ -590,6 +697,45 @@ def test_theory_check_cluster_too_small(tmp_path, capsys):
     code, _, err = run_cli(capsys, "theory-check", edges, str(labels))
     assert code == 2
     assert "error:" in err
+
+
+# two clusters, a b c and d e f; one node's within-cluster weights in layer 0
+# overflow its strength, while every aggregated strength stays finite
+OVERFLOW_LABELS = "a\t0\nb\t0\nc\t0\nd\t1\ne\t1\nf\t1\n"
+LAYER_1 = (("a", "b"), ("c", "d"), ("e", "f"), ("a", "f"))
+OVERFLOW_FILES = {
+    # used to exit 0 with "universal_lb": "nan" and scipy's overflow warning
+    "a": (("a", "b", "1e308"), ("a", "c", "1e308"), ("c", "d", "1"), ("d", "e", "1"), ("e", "f", "1"), ("b", "d", "1")),
+    # a-d is the only edge between the clusters; the noise estimate used to
+    # read its weight sum as nan and theory-check exited 4
+    "d": (("a", "b", "1"), ("b", "c", "1"), ("a", "d", "1"), ("d", "e", "1e308"), ("d", "f", "1e308")),
+}
+
+
+def overflow_files(tmp_path, node):
+    text = "".join(f"0\t{u}\t{v}\t{w}\n" for u, v, w in OVERFLOW_FILES[node])
+    text += "".join(f"1\t{u}\t{v}\t1\n" for u, v in LAYER_1)
+    return write(tmp_path / "big.tsv", text), write(tmp_path / "big.labels", OVERFLOW_LABELS)
+
+
+@pytest.mark.parametrize("node", ["a", "d"])
+def test_theory_check_names_the_node_whose_layer_strength_overflows(tmp_path, capsys, node):
+    edges, labels = overflow_files(tmp_path, node)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "theory-check", edges, labels)
+    assert (code, out, [str(w.message) for w in caught]) == (2, "", [])
+    assert err == f"error: layer 0: within-cluster strength of node {node!r} is not finite: its edge weights are too large\n"
+
+
+def test_evaluate_names_the_layer_whose_weight_overflows(tmp_path, capsys):
+    # used to exit 0 with two RuntimeWarnings, reading inf - inf as a cut
+    edges, labels = overflow_files(tmp_path, "a")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "evaluate", edges, labels, "--truth", labels)
+    assert (code, out, [str(w.message) for w in caught]) == (2, "", [])
+    assert err == "error: layer 0: total edge weight is not finite: its edge weights are too large\n"
 
 
 # ------------------------------------------------------------------ misc

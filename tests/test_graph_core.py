@@ -450,6 +450,53 @@ def test_from_edges_leaves_a_nan_weight_to_the_constructor():
         MultilayerGraph.from_edges(ids(2), [(np.array([0]), np.array([1]), np.array([np.nan]))])
 
 
+@given(edge_layers())
+@settings(max_examples=200, deadline=None)
+def test_edges_is_the_inverse_of_from_edges(case):
+    n, layers = case
+    g = MultilayerGraph.from_edges(ids(n), iter(layers))
+    rebuilt = MultilayerGraph.from_edges(g.node_ids, g.edges())
+    assert rebuilt == g
+    for got, want in zip(rebuilt.layers, g.layers):
+        assert (got.indptr.dtype, got.indices.dtype) == (want.indptr.dtype, want.indices.dtype)
+    for (u, v, w), (lu, lv, lw) in zip(g.edges(), layers):
+        assert np.all(u < v)
+        assert list(zip(u.tolist(), v.tolist())) == sorted(zip(np.minimum(lu, lv).tolist(), np.maximum(lu, lv).tolist()))
+        assert sorted(w.tolist()) == sorted(lw.tolist())
+
+
+def non_canonical_graph():
+    """Three nodes, one layer whose CSR rows are unsorted and whose edge a-c
+    is stored as two entries (1.5 + 0.5) in row a; the constructor accepts it."""
+    layer = sparse.csr_array((np.array([1.5, 1.0, 0.5, 1.0, 2.0]), np.array([2, 1, 2, 0, 0]), np.array([0, 3, 4, 5])),
+                             shape=(3, 3))
+    return MultilayerGraph(node_ids=("a", "b", "c"), layers=(layer,))
+
+
+def test_edges_reads_a_non_canonical_layer_from_a_canonical_copy():
+    g = non_canonical_graph()
+    (u, v, w), = g.edges()
+    assert (u.tolist(), v.tolist(), w.tolist()) == ([0, 0], [1, 2], [1.0, 2.0])
+    assert g.layers[0].indices.tolist() == [2, 1, 2, 0, 0]  # the graph's own storage is untouched
+    assert MultilayerGraph.from_edges(g.node_ids, g.edges()) == MultilayerGraph.from_matrices(g.node_ids, g.layers)
+
+
+def test_from_matrices_does_not_share_the_callers_arrays():
+    m = sparse.csr_array(np.array([[0, 1.0, 0], [1.0, 0, 2.0], [0, 2.0, 0]]))
+    g = MultilayerGraph.from_matrices("abc", [m])
+    assert not any(np.shares_memory(a, b) for a in (g.layers[0].data, g.layers[0].indices, g.layers[0].indptr)
+                   for b in (m.data, m.indices, m.indptr))
+    m.data[0] = -7.0
+    assert g.layers[0].data.tolist() == [1.0, 1.0, 2.0, 2.0]
+
+
+def test_from_matrices_leaves_the_callers_explicit_zeros_in_place():
+    m = sparse.csr_array((np.array([0.0, 1.0, 1.0, 0.0]), np.array([0, 1, 0, 2]), np.array([0, 2, 3, 4])), shape=(3, 3))
+    g = MultilayerGraph.from_matrices("abc", [m])
+    assert (m.indptr.tolist(), m.indices.tolist(), m.data.tolist()) == ([0, 2, 3, 4], [0, 1, 0, 2], [0.0, 1.0, 1.0, 0.0])
+    assert g.layers[0].indptr.tolist() == [0, 1, 2, 2]
+
+
 def test_graph_equality_by_content():
     m = adjacency_from_edges(3, [(0, 1), (1, 2)])
     assert dense_graph(ids(3), m) == dense_graph(ids(3), m)
@@ -559,6 +606,76 @@ def test_parse_serialize_round_trip(seed):
     assert parse_multilayer_edge_list(serialize_multilayer_edge_list(g)) == g
 
 
+def lexsort_serialize_multilayer_edge_list(graph):
+    """The COO-and-lexsort writer that MultilayerGraph.edges() replaced, kept verbatim as an oracle."""
+    lines = []
+    for layer, mat in enumerate(graph.layers):
+        coo = mat.tocoo()
+        upper = coo.row < coo.col
+        order = np.lexsort((coo.col[upper], coo.row[upper]))
+        for r, c, w in zip(coo.row[upper][order], coo.col[upper][order], coo.data[upper][order]):
+            lines.append(f"{layer}\t{graph.node_ids[r]}\t{graph.node_ids[c]}\t{float(w)!r}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def coo_degree_normalize(graph):
+    """The COO degree_normalize that MultilayerGraph.edges() replaced, kept verbatim as an oracle."""
+    new_layers = []
+    for mat in graph.layers:
+        if mat.nnz and not np.all(mat.data == 1.0):
+            new_layers.append(mat)
+            continue
+        degrees = np.diff(mat.indptr).astype(np.float64)  # neighbor counts per row
+        coo = mat.tocoo()
+        scaled = 1.0 / np.sqrt(degrees[coo.row] * degrees[coo.col])
+        new_layers.append(
+            graph_core._canonical_csr(sparse.coo_array((scaled, (coo.row, coo.col)), shape=mat.shape), graph.n)
+        )
+    return MultilayerGraph(node_ids=graph.node_ids, layers=tuple(new_layers))
+
+
+_WRITER_WEIGHTS = st.one_of(st.sampled_from([5e-324, 1e-310, 1e308, 1.0, 0.1, 2.5]), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def writer_graphs(draw):
+    """Graphs with non-ASCII ids, empty layers, and weights from subnormal to 1e308;
+    a layer is unweighted (all 1.0) about half the time."""
+    n = draw(st.integers(1, 8))
+    node_ids = draw(st.lists(st.text("aé中Ω𝔸z_", min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    layers = []
+    for _ in range(draw(st.integers(0, 3))):
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+        unweighted = draw(st.booleans())
+        weights = [1.0 if unweighted else draw(_WRITER_WEIGHTS) for _ in chosen]
+        layers.append((np.array([a for a, _ in chosen], dtype=np.int64), np.array([b for _, b in chosen], dtype=np.int64),
+                       np.array(weights, dtype=np.float64)))
+    return MultilayerGraph.from_edges(node_ids, layers)
+
+
+@given(writer_graphs())
+@settings(max_examples=200, deadline=None)
+def test_serialize_equals_the_lexsort_writer(g):
+    assert serialize_multilayer_edge_list(g) == lexsort_serialize_multilayer_edge_list(g)
+
+
+def test_serialize_equals_the_lexsort_writer_on_an_unsorted_layer():
+    # rows out of order (no duplicate): lexsort and edges()'s canonical copy
+    # give the same text
+    layer = sparse.csr_array((np.array([2.0, 1.0, 1.0, 2.0]), np.array([2, 1, 0, 0]), np.array([0, 2, 3, 4])), shape=(3, 3))
+    g = MultilayerGraph(node_ids=("é", "b", "a"), layers=(layer,))
+    assert serialize_multilayer_edge_list(g) == lexsort_serialize_multilayer_edge_list(g) == "0\té\tb\t1.0\n0\té\ta\t2.0\n"
+
+
+def test_serialize_sums_an_edge_stored_as_two_entries():
+    # the lexsort writer wrote a-c twice (1.5 and 0.5), a file the parser rejects
+    g = non_canonical_graph()
+    text = serialize_multilayer_edge_list(g)
+    assert text == "0\ta\tb\t1.0\n0\ta\tc\t2.0\n"
+    assert parse_multilayer_edge_list(text) == MultilayerGraph.from_matrices(g.node_ids, g.layers)
+
+
 def test_serialize_emits_upper_triangle_sorted():
     g = parse_multilayer_edge_list("1 c a 1.0\n0 b a 2.0\n")
     lines = serialize_multilayer_edge_list(g).strip().split("\n")
@@ -613,6 +730,17 @@ def test_within_cluster_laplacian_rows_sum_to_zero(barbell4):
         assert np.allclose(rows, 0.0, atol=1e-12)
 
 
+def test_within_cluster_laplacians_name_the_node_whose_strength_overflows():
+    layer0 = adjacency_from_edges(4, [(0, 1, 1.0), (2, 3, 1e308), (2, 1, 1e308)])
+    g = dense_graph(ids(4), adjacency_from_edges(4, [(0, 1)]), layer0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^layer 1: within-cluster strength of node 'n002' is not finite"):
+            within_cluster_laplacians(g, balanced_assignment([1, 3]))
+        # apart, the two heavy edges leave every within-cluster strength finite
+        within_cluster_laplacians(g, balanced_assignment([2, 2]))
+
+
 # ---------------------------------------------------------- normalization
 
 
@@ -633,3 +761,12 @@ def test_degree_normalize_weighted_layer_passthrough():
     g = parse_multilayer_edge_list("0 a b 2.5\n")
     normalized = degree_normalize(g)
     assert normalized.layers[0][0, 1] == 2.5
+
+
+@given(writer_graphs())
+@settings(max_examples=200, deadline=None)
+def test_degree_normalize_equals_the_coo_oracle(g):
+    normalized, expected = degree_normalize(g), coo_degree_normalize(g)
+    assert normalized == expected
+    for got, want in zip(normalized.layers, expected.layers):
+        assert (got.indptr.dtype, got.indices.dtype) == (want.indptr.dtype, want.indices.dtype)

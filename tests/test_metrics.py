@@ -288,3 +288,11 @@ def test_metric_report_with_truth_matches_components():
     assert report.f_measure == pytest.approx(f_measure(found, truth))
     assert report.conductance == pytest.approx(conductance(found, g))
     assert report.nc == pytest.approx(normalized_cut(found, g))
+
+
+@pytest.mark.parametrize("metric", [conductance, normalized_cut])
+def test_cut_metrics_name_the_layer_whose_weight_overflows(metric):
+    heavy = adjacency_from_edges(4, [(0, 1, 1e308), (0, 2, 1e308), (2, 3, 1.0)])
+    graph = dense_graph(ids(4), adjacency_from_edges(4, [(0, 1), (2, 3)]), heavy)
+    with pytest.raises(ValueError, match=r"^layer 1: total edge weight is not finite"):
+        metric(assignment(0, 0, 1, 1), graph)

@@ -21,7 +21,7 @@ from mlsgc import (
     vtest_homogeneity,
 )
 
-from .conftest import balanced_assignment, dense_graph, ids, random_multilayer
+from .conftest import adjacency_from_edges, balanced_assignment, dense_graph, ids, random_multilayer
 
 
 def block_graph(between, sizes, within_value=0.0):
@@ -35,6 +35,23 @@ def block_graph(between, sizes, within_value=0.0):
 
 
 # -------------------------------------------------------------- estimators
+
+
+def test_estimate_keeps_a_finite_pair_sum_next_to_an_overflowing_block():
+    # cluster 1's own weights overflow; the one edge between the clusters
+    # weighs 1.0, and the dense product used to read that sum as 0 * inf = nan
+    g = dense_graph(ids(6), adjacency_from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 3, 1.0), (3, 4, 1e308), (3, 5, 1e308)]))
+    est = estimate_noise(g, balanced_assignment([3, 3]))
+    assert est.weight_sum.tolist() == [[1.0]]
+    assert est.m.tolist() == [[1.0]]
+
+
+def test_estimate_names_the_pair_whose_weight_sum_overflows():
+    # clusters 0 and 1 are joined by two 1e308 edges; 0 and 2 by one of weight 1.0
+    edges = [(0, 3, 1.0), (1, 4, 1e308), (2, 5, 1e308), (0, 6, 1.0)]
+    g = dense_graph(ids(7), adjacency_from_edges(7, edges))
+    with pytest.raises(ValueError, match=r"^layer 0: edge weight between clusters 0 and 1 sums to infinity"):
+        estimate_noise(g, balanced_assignment([3, 3, 1]))
 
 
 def test_phat_is_count_ratio():
