@@ -16,6 +16,7 @@ import argparse
 import itertools
 import math
 import sys
+import warnings
 from dataclasses import replace
 from typing import Sequence
 
@@ -24,7 +25,6 @@ import numpy as np
 from .graph_core import (
     LayerWeights,
     MultilayerGraph,
-    aggregate,
     degree_normalize,
     parse_label_file,
     parse_multilayer_edge_list,
@@ -34,7 +34,7 @@ from .graph_core import (
 from .metrics import metric_report
 from .mimosa import MimosaConfig, adapt_weights, run_mimosa, serialize_result, strict_json
 from .noise_stats import estimate_noise
-from .spectral import ClusterAssignment, ConvergenceError, multilayer_sgc, partial_eigenvalue_sum, smallest_eigenpairs
+from .spectral import ClusterAssignment, ConvergenceError, DisconnectedGraphError, multilayer_sgc, partial_eigenvalue_sum
 from .synth import GeneralRimParams, TwoLayerCorrelatedParams, detectability, generate_rim, generate_two_layer
 from .theory import breakdown_condition_holds, breakdown_matrix, critical_bounds, critical_weight_w1, predicted_partial_sum
 
@@ -82,6 +82,12 @@ def _read(config: dict[str, str], key: str, what: str, convert=str, default=None
     except ValueError:
         kind = "an integer" if convert is int else "a number"
         raise ValueError(f"{what}: key {key!r} is not {kind}: {config[key]!r}") from None
+
+
+def _at_least(value: int, minimum: int, what: str) -> int:
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
+    return value
 
 
 def _number_list(text: str, what: str, convert=float) -> tuple:
@@ -147,7 +153,7 @@ def _two_layer_model(config: dict[str, str], what: str) -> dict:
 
 def _generator_from_config(config: dict[str, str]):
     kind = config.get("generator", "two_layer")
-    seed = _read(config, "seed", "generate", int, 0)
+    seed = _at_least(_read(config, "seed", "generate", int, 0), 0, "generate: seed")
     if kind == "two_layer":
         params = TwoLayerCorrelatedParams(
             **_two_layer_model(config, "generate"),
@@ -208,7 +214,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     graph = _load_graph(args.edges, args.normalize)
     weights = _weights_or_uniform(args.w, graph.L, "--w")
-    assignment, _ = multilayer_sgc(graph, weights, args.k, seed=args.seed)
+    assignment, _ = multilayer_sgc(graph, weights, args.k, seed=_at_least(args.seed, 0, "--seed"))
     sys.stdout.write(serialize_label_file(graph.node_ids, assignment.labels))
     return 0
 
@@ -296,19 +302,26 @@ def _sweep_trial(
 ) -> tuple[float, ...]:
     """Sample one graph (seeded by ``params.seed``) and return its statistics
     in ``_SWEEP_COLUMNS`` order: SGC with ``k`` clusters under ``weights``, or
-    MIMOSA under ``mimosa`` (all nan when it declines)."""
+    MIMOSA under ``mimosa``.  All are nan when MIMOSA declines or SGC's
+    aggregation is disconnected; the latter is warned about."""
     graph, truth = generate_two_layer(params)
     if mimosa is None:
-        found, embedding = multilayer_sgc(graph, weights, k, seed=params.seed)
-    else:
-        result = run_mimosa(graph, replace(mimosa, seed=params.seed))
-        if result.status != "found":
+        try:
+            found, embedding = multilayer_sgc(graph, weights, k, seed=params.seed)
+        except DisconnectedGraphError as err:
+            warnings.warn(f"{err}; the row is nan")
             return (float("nan"),) * len(_SWEEP_COLUMNS)
-        found, weights = result.assignment, result.w_star
-        embedding = smallest_eigenpairs(aggregate(graph, weights), result.K, rng=np.random.default_rng(params.seed))
+        s2k_over_n = partial_eigenvalue_sum(embedding) / graph.n
+    else:
+        best = run_mimosa(graph, replace(mimosa, seed=params.seed)).selected
+        if best is None:
+            return (float("nan"),) * len(_SWEEP_COLUMNS)
+        found, weights = best.assignment, best.w
+        # labels K, K+1, ... are the components outside the clustered one
+        s2k_over_n = best.partial_sum / int(best.assignment.sizes[: best.K].sum())
     bounds = critical_bounds(graph, truth, weights)
     t_w = float(weights.values @ np.array([params.p1, params.p2]))
-    return detectability(found, truth), t_w, bounds.t_lb, bounds.t_ub, partial_eigenvalue_sum(embedding) / graph.n
+    return detectability(found, truth), t_w, bounds.t_lb, bounds.t_ub, s2k_over_n
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -319,13 +332,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if axes[1][0] == axes[0][0]:
             raise ValueError("sweep: axis2 must name a different parameter than axis")
     axis_names = [name for name, _ in axes]
-    trials = _read(config, "trials", "sweep", int, 1)
-    if trials < 1:
-        raise ValueError(f"sweep: trials must be >= 1, got {trials}")
+    trials = _at_least(_read(config, "trials", "sweep", int, 1), 1, "sweep: trials")
     mode = config.get("mode", "sgc")
     if mode not in ("sgc", "mimosa"):
         raise ValueError(f"sweep: mode must be sgc or mimosa, got {mode!r}")
-    base_seed = _read(config, "seed", "sweep", int, 0)
+    base_seed = _at_least(_read(config, "seed", "sweep", int, 0), 0, "sweep: seed")
     geometric = args.mean == "geometric"
 
     # Every key, and every grid point's parameters, is checked here, before
@@ -363,9 +374,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lines = [",".join([*axis_names, "trial", *_SWEEP_COLUMNS])]
     for point_index, (prefix, params, weights) in enumerate(grid):
         stats = []
+        where = ", ".join(f"{name}={value}" for name, value in zip(axis_names, prefix))
         for trial in range(trials):
             trial_seed = int(np.random.SeedSequence([base_seed, point_index, trial]).generate_state(1)[0])
-            stats.append(_sweep_trial(replace(params, seed=trial_seed), weights, k, mimosa))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                stats.append(_sweep_trial(replace(params, seed=trial_seed), weights, k, mimosa))
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {where}, trial {trial}: {message}", file=sys.stderr)
             lines.append(",".join(prefix + [str(trial)] + [_fmt(v) for v in stats[-1]]))
         lines.append(",".join(prefix + ["mean"] + [_fmt(_mean(column, geometric)) for column in zip(*stats)]))
 

@@ -42,7 +42,7 @@ from .noise_stats import (
     glrt_identical_noise,
     vtest_from_row_sums,
 )
-from .spectral import ClusterAssignment, SpectralEmbedding, kmeans, smallest_eigenpairs
+from .spectral import ClusterAssignment, SpectralEmbedding, kmeans, partial_eigenvalue_sum, smallest_eigenpairs
 from .theory import cluster_partial_sums
 
 __all__ = [
@@ -179,6 +179,7 @@ class ReliableCandidate:
     ``assignment`` always covers the full node set; when the aggregation was
     disconnected, nodes outside the clustered component carry pseudo-cluster
     labels K, K+1, ... (one per extra component) for reporting only.
+    ``partial_sum`` is ``lambda_2 + .. + lambda_K`` of the embedding it was clustered from.
     """
 
     w: LayerWeights
@@ -191,6 +192,12 @@ class ReliableCandidate:
     t_hat_w: float
     t_max_w: float
     route: str
+    partial_sum: float
+
+
+def _rank(candidate: ReliableCandidate) -> tuple[float, float, int]:
+    """Selection order: highest SNR, then smallest tau, then earliest step."""
+    return (-candidate.snr, candidate.tau, candidate.trace_index)
 
 
 @dataclass(frozen=True)
@@ -211,6 +218,11 @@ class MimosaResult:
     snr: float | None
     reliable_set: tuple[ReliableCandidate, ...]
     trace: tuple[TraceRecord, ...]
+
+    @property
+    def selected(self) -> ReliableCandidate | None:
+        """The reliable candidate whose K, clustering and weights were selected."""
+        return min(self.reliable_set, key=_rank, default=None)
 
 
 def _per_layer(value: float | tuple[float, ...], L: int, name: str) -> tuple[float, ...]:
@@ -330,7 +342,7 @@ def run_mimosa(graph: MultilayerGraph, config: MimosaConfig | None = None) -> Mi
         err.mimosa_trace = tuple(trace)  # type: ignore[attr-defined]
         raise
 
-    best = min(reliable, key=lambda c: (-c.snr, c.tau, c.trace_index), default=None)
+    best = min(reliable, key=_rank, default=None)
     K, assignment, w_star, ratio = (None,) * 4 if best is None else (best.K, best.assignment, best.w, best.snr)
     return MimosaResult(
         status="not_applicable" if best is None else "found", node_ids=graph.node_ids, K=K,
@@ -439,7 +451,7 @@ def _candidate(
     if min_p <= config.eta:
         return TraceRecord(outcome="homogeneity_reject", **base), None
 
-    sums = cluster_partial_sums(sub, sub_assignment, w)
+    sums = cluster_partial_sums(comp.agg, sub_assignment)
     t_lb_hat = float(sums.min() / ((K - 1) * sub_assignment.n_max))
     t_hat_w = float(w.values @ est.t_hat_layer)
     t_max_w = float(w.values @ est.t_max_layer)
@@ -473,6 +485,7 @@ def _candidate(
     candidate = ReliableCandidate(
         w=w, assignment=comp.lift(sub_assignment), snr=ratio, K=K, tau=tau, trace_index=index,
         t_lb_hat=t_lb_hat, t_hat_w=t_hat_w, t_max_w=t_max_w, route=route,
+        partial_sum=partial_eigenvalue_sum(embedding),
     )
     return TraceRecord(outcome="reliable", route=route, reliable=True, snr=ratio, **base), candidate
 

@@ -11,8 +11,7 @@ Every Laplacian eigenproblem of the package goes through one function,
 :func:`smallest_laplacian_eigs`, with one size rule: up to 512 nodes it
 solves densely (LAPACK), above that it runs ARPACK from a start vector
 drawn from the caller's seeded generator, so results are reproducible bit
-for bit.  A warm start only moves ARPACK's
-start vector.
+for bit.
 """
 
 from __future__ import annotations
@@ -184,7 +183,6 @@ def smallest_laplacian_eigs(
     count: int,
     *,
     rng: np.random.Generator | None = None,
-    warm_start: np.ndarray | None = None,
     vectors: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """The ``count`` smallest eigenvalues of a sparse graph Laplacian, ascending.
@@ -202,8 +200,6 @@ def smallest_laplacian_eigs(
         lap: symmetric sparse Laplacian of ``n`` nodes.
         count: number of eigenvalues wanted, ``1 <= count <= n``.
         rng: source of ARPACK's start vector; defaults to a fixed seed.
-        warm_start: optional ``(n, j)`` matrix whose column sum (plus a
-            small random perturbation) becomes ARPACK's start vector.
         vectors: also return the ``(n, count)`` unit eigenvectors.
 
     Raises:
@@ -219,11 +215,8 @@ def smallest_laplacian_eigs(
         return np.maximum(values, 0.0), vecs
     if rng is None:
         rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(n)
-    if warm_start is not None:
-        v0 = np.sum(np.asarray(warm_start, dtype=np.float64), axis=1) + 1e-3 * v0
     try:
-        values, vecs = sparse_linalg.eigsh(lap, k=count, which="SA", v0=v0)
+        values, vecs = sparse_linalg.eigsh(lap, k=count, which="SA", v0=rng.standard_normal(n))
     except sparse_linalg.ArpackError as err:
         raise ConvergenceError(f"ARPACK eigensolver failed: {err}", residual=float("nan")) from err
     order = np.argsort(values)
@@ -236,22 +229,19 @@ def smallest_eigenpairs(
     K: int,
     *,
     rng: np.random.Generator | None = None,
-    warm_start: np.ndarray | None = None,
 ) -> SpectralEmbedding:
     """Eigenpairs 2..K (plus eigenvalue K+1) of the aggregated Laplacian.
 
     Asks :func:`smallest_laplacian_eigs` for K+1 pairs and drops the first,
-    the constant null vector of a connected graph.  ``rng`` and
-    ``warm_start`` only seed ARPACK's start vector (graphs over 512 nodes):
-    they move where ARPACK starts, not what it converges to.
+    the constant null vector of a connected graph.  ``rng`` only seeds
+    ARPACK's start vector (graphs over 512 nodes): it moves where ARPACK
+    starts, not what it converges to.
 
     Args:
         g: aggregated graph; must be connected.
         K: number of clusters; needs ``2 <= K <= n - 1`` so that eigenvalues
             2..K+1 all exist.
         rng: defaults to a fixed seed so repeated calls are identical.
-        warm_start: optional ``(n, j)`` matrix, e.g. the previous embedding
-            when sweeping weight vectors.
 
     Raises:
         DisconnectedGraphError: the graph is disconnected (its extra zero
@@ -265,9 +255,7 @@ def smallest_eigenpairs(
     if len(connected_components(g)) != 1:
         raise DisconnectedGraphError("aggregated graph is disconnected")
 
-    eigenvalues, vecs = smallest_laplacian_eigs(
-        g.laplacian(), K + 1, rng=rng, warm_start=warm_start, vectors=True
-    )
+    eigenvalues, vecs = smallest_laplacian_eigs(g.laplacian(), K + 1, rng=rng, vectors=True)
     Y = vecs[:, 1:K].copy()
     for col in range(Y.shape[1]):
         pivot = int(np.argmax(np.abs(Y[:, col])))

@@ -96,27 +96,20 @@ def _partial_sum(lap, K: int) -> float:
     return float(np.sum(smallest_laplacian_eigs(lap, K)[1:K]))
 
 
-def cluster_partial_sums(
-    graph: MultilayerGraph,
-    assignment: ClusterAssignment,
-    weights: LayerWeights,
-) -> np.ndarray:
+def cluster_partial_sums(agg: AggregatedGraph, assignment: ClusterAssignment) -> np.ndarray:
     """Partial eigenvalue sums ``lambda_2+..+lambda_K`` per aggregated cluster.
 
-    For each cluster, aggregates the within-cluster subgraphs across layers
-    with ``weights`` and sums eigenvalues 2..K of the resulting Laplacian.
+    For each cluster, sums eigenvalues 2..K of the Laplacian of its
+    within-cluster subgraph of ``agg``.
 
     Raises:
         ClusterTooSmallError: some cluster has fewer than K nodes.
-        ValueError: ``weights`` does not have one entry per layer (raised by
-            :func:`aggregate`).
     """
     K = assignment.K
     if assignment.n_min < K:
         raise ClusterTooSmallError(
             f"every cluster needs at least K={K} nodes; smallest has {assignment.n_min}"
         )
-    agg = aggregate(graph, weights)
     sums = np.array([_partial_sum(subgraph_laplacian(agg.weight_matrix, assignment.members(k)), K)
                      for k in range(K)])
     sums.setflags(write=False)
@@ -141,7 +134,7 @@ def critical_bounds(
     Raises:
         ClusterTooSmallError: some cluster has fewer than K nodes.
     """
-    sums = cluster_partial_sums(graph, assignment, weights)
+    sums = cluster_partial_sums(aggregate(graph, weights), assignment)
     K = assignment.K
     n_min, n_max = assignment.n_min, assignment.n_max
 

@@ -14,9 +14,12 @@ module runs in a few minutes single-threaded.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from dataclasses import dataclass
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from mlsgc import (
     GeneralRimParams,
     LayerWeights,
     MimosaConfig,
+    MimosaResult,
     TwoLayerCorrelatedParams,
     aggregate,
     critical_bounds,
@@ -253,16 +257,33 @@ def test_detectability_floor_at_high_noise_matches_random_guessing():
     assert abs(float(np.mean(dets)) - 0.33) <= 0.05
 
 
-def test_model_order_selection_recovers_planted_clusters():
+@pytest.fixture(scope="module")
+def selection_runs() -> dict[int, tuple[ClusterAssignment, MimosaResult]]:
+    """MIMOSA's result and the planted truth on the 40 acceptance instances,
+    keyed by generator seed: seeds 100..119 are three planted clusters
+    (3x200, p = 0.25), seeds 600..619 pure noise (n = 60); instance i of
+    each runs with ``MimosaConfig(seed=i)``."""
+    runs = {}
+    for trial in range(20):
+        planted = TwoLayerCorrelatedParams(
+            cluster_sizes=SIZES, **CORRELATION, p1=0.25, p2=0.25, seed=100 + trial,
+        )
+        null = TwoLayerCorrelatedParams(
+            cluster_sizes=(60,), q11=0.0625, q10=0.1875, q01=0.1875, q00=0.5625,
+            p1=0.25, p2=0.25, seed=600 + trial,
+        )
+        for params in (planted, null):
+            graph, truth = generate_two_layer(params)
+            runs[params.seed] = (truth, run_mimosa(graph, MimosaConfig(seed=trial)))
+    return runs
+
+
+def test_model_order_selection_recovers_planted_clusters(selection_runs):
     """In the reliable regime (p=0.25, below 0.9x the lower bound) the
     selection loop finds K=3 with detectability >= 0.95 in >= 18/20 runs."""
     successes = 0
     for trial in range(20):
-        params = TwoLayerCorrelatedParams(
-            cluster_sizes=SIZES, **CORRELATION, p1=0.25, p2=0.25, seed=100 + trial,
-        )
-        graph, truth = generate_two_layer(params)
-        result = run_mimosa(graph, MimosaConfig(seed=trial))
+        truth, result = selection_runs[100 + trial]
         if (
             result.status == "found"
             and result.K == K
@@ -272,21 +293,52 @@ def test_model_order_selection_recovers_planted_clusters():
     assert successes >= 18, f"only {successes}/20 runs recovered the clusters"
 
 
-def test_model_order_selection_reports_pure_noise_as_not_applicable():
+def test_model_order_selection_reports_pure_noise_as_not_applicable(selection_runs):
     """On two independent Erdos-Renyi layers (n=60, density 0.25, no planted
     structure) the selection loop declines in >= 18/20 runs.  A single
     planted cluster with independent within-layer edges (q11 = 0.25^2) is
     exactly that null model."""
     declined = 0
     for trial in range(20):
-        params = TwoLayerCorrelatedParams(
-            cluster_sizes=(60,), q11=0.0625, q10=0.1875, q01=0.1875, q00=0.5625,
-            p1=0.25, p2=0.25, seed=600 + trial,
-        )
-        graph, _ = generate_two_layer(params)
-        result = run_mimosa(graph, MimosaConfig(seed=trial))
+        _, result = selection_runs[600 + trial]
         declined += result.status == "not_applicable"
     assert declined >= 18, f"only {declined}/20 pure-noise runs declined"
+
+
+# One entry per acceptance instance, as ``_record`` gives it; the file was
+# written before theory reused MIMOSA's aggregations.  A change that moves a
+# selection on purpose rewrites it and names the change.
+SELECTION_RECORD = Path(__file__).with_name("mimosa_acceptance_record.json")
+
+
+def _record(seed: int, result: MimosaResult) -> dict:
+    found = result.status == "found"
+    return {
+        "seed": seed,
+        "status": result.status,
+        "K": result.K,
+        "labels_sha256": hashlib.sha256(result.assignment.labels.astype("<i8").tobytes()).hexdigest()
+        if found else None,
+        "w_star": [repr(float(w)) for w in result.w_star.values] if found else None,
+        "snr": repr(float(result.snr)) if found else None,
+    }
+
+
+def test_model_order_selection_matches_the_committed_record(selection_runs):
+    """Status, K and labels are exactly as recorded; ``w_star`` and ``snr``
+    agree to 1e-12 relative, since LAPACK builds may differ in the last ulp."""
+    expected = json.loads(SELECTION_RECORD.read_text(encoding="utf-8"))
+    assert [entry["seed"] for entry in expected] == sorted(selection_runs)
+    exact = ("seed", "status", "K", "labels_sha256")
+    for entry in expected:
+        got = _record(entry["seed"], selection_runs[entry["seed"]][1])
+        assert {key: got[key] for key in exact} == {key: entry[key] for key in exact}
+        for key in ("w_star", "snr"):
+            if entry[key] is None:
+                assert got[key] is None, (entry["seed"], key)
+            else:
+                assert np.asarray(got[key], dtype=float) == pytest.approx(
+                    np.asarray(entry[key], dtype=float), rel=1e-12, abs=0.0), (entry["seed"], key)
 
 
 def test_homogeneity_test_type_one_error_is_calibrated():

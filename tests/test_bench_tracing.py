@@ -56,6 +56,10 @@ def test_traced_mimosa_run_counts_every_stage(tracing):
     stages = ("graph_core.aggregate", "graph_core.components", "spectral.eigensolve", "spectral.kmeans",
               "noise_stats.estimate", "noise_stats.vtest", "theory.partial_sums")
     assert {stage: metrics[f"{stage}_calls"] > 0 for stage in stages} == dict.fromkeys(stages, True)
+    # theory measures the aggregation the candidate was clustered from
+    spans = tracer.spans
+    assert [i for i, (name, _, _, parent) in enumerate(spans)
+            if name == "graph_core.aggregate" and parent >= 0 and spans[parent][0] == "theory.partial_sums"] == []
 
 
 def test_traced_cli_run_records_one_parse(tracing, tmp_path, capsys):

@@ -56,7 +56,9 @@ def run_in_process(argv):
 # node-pair budget, a ragged row, a bad name, a zero or oversized step.
 _VALID_SIZES = ["3,3", "4,4,4", "2,5", "12", "6"]
 _BAD_SIZES = ["0,3", "3,-1", "8193", "10000000000", "", "3,x"]
-_VALID_Q = [("0.3", "0.2", "0.1", "0.4"), ("0.0625", "0.1875", "0.1875", "0.5625")]
+# the last is sparse: with small p most samples are disconnected
+_VALID_Q = [("0.3", "0.2", "0.1", "0.4"), ("0.0625", "0.1875", "0.1875", "0.5625"),
+            ("0.02", "0.03", "0.03", "0.92")]
 _BAD_Q = [("nan", "0.2", "0.1", "0.4"), ("0.3", "inf", "0.1", "0.4"), ("-0.1", "0.2", "0.1", "0.8"),
           ("1.5", "0", "0", "-0.5"), ("0.9", "0.2", "0.1", "0.4"), ("x", "0.2", "0.1", "0.4")]
 _VALID_P = ["0", "0.25", "0.5", "1"]
@@ -218,6 +220,17 @@ def test_generate_is_deterministic(tmp_path, capsys):
         assert code == 0
         outputs.append((edges.read_text(), labels.read_text(), out))
     assert outputs[0] == outputs[1]
+
+
+def test_generate_names_a_negative_seed(tmp_path, capsys):
+    # used to print numpy's bare "expected non-negative integer"
+    params = write(tmp_path / "bad.cfg", GENERATE_PARAMS.replace("seed = 7", "seed = -1"))
+    code, out, err = run_cli(
+        capsys, "generate", params,
+        "--edges", str(tmp_path / "g.tsv"), "--labels", str(tmp_path / "g.labels"),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: generate: seed must be >= 0, got -1\n"
 
 
 def test_generate_rim_params(tmp_path, capsys):
@@ -386,6 +399,13 @@ def test_cluster_normalize_flag(tmp_path, capsys):
     assert code == 0, err
     assert len(parse_label_file(out)) == 16
 
+
+def test_cluster_names_a_negative_seed(tmp_path, capsys):
+    # used to print numpy's bare "expected non-negative integer"
+    edges, _, _ = cliques_files(tmp_path)
+    code, out, err = run_cli(capsys, "cluster", edges, "--k", "2", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("argv", [("cluster", "--k", "2"), ("mimosa",)], ids=["cluster", "mimosa"])
@@ -593,6 +613,48 @@ def test_sweep_reads_every_key_before_sampling(tmp_path, capsys, monkeypatch, sp
     code, out, err = run_cli(capsys, "sweep", write(tmp_path / "bad.cfg", spec))
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert calls == []
+
+
+def test_sweep_names_a_negative_seed(tmp_path, capsys):
+    # used to print numpy's bare "expected non-negative integer"
+    spec = write(tmp_path / "bad.cfg", SWEEP_SPEC.replace("seed = 11", "seed = -1"))
+    code, out, err = run_cli(capsys, "sweep", spec)
+    assert (code, out) == (2, "")
+    assert err == "error: sweep: seed must be >= 0, got -1\n"
+
+
+# Sparse enough that trial 0 of the first point samples a graph with an
+# isolated node; every other trial is connected.
+DISCONNECTED_SWEEP_SPEC = """\
+axis = p1:0.01:0.02:0.01
+p2 = 0.01
+cluster_sizes = 20,20
+q11 = 0.05
+q10 = 0.1
+q01 = 0.1
+q00 = 0.75
+trials = 3
+seed = 2
+"""
+
+
+@pytest.mark.parametrize("mode, note", [
+    ("mode = sgc\nk = 2\n", "aggregated graph is disconnected; the row is nan"),
+    ("mode = mimosa\nmax_k = 3\n",
+     "aggregated graph is disconnected; clustering its largest component (39 of 40 nodes)"),
+], ids=["sgc", "mimosa"])
+def test_sweep_survives_a_disconnected_sample(tmp_path, capsys, mode, note):
+    # both modes used to exit 2 with "aggregated graph is disconnected" and no CSV
+    spec = write(tmp_path / "sparse.cfg", DISCONNECTED_SWEEP_SPEC + mode)
+    code, out, err = run_cli(capsys, "sweep", spec)
+    assert code == 0, err
+    assert err == f"warning: p1=0.01, trial 0: {note}\n"
+    lines = out.splitlines()
+    assert len(lines) == 1 + 2 * (3 + 1)
+    nan_rows = [line for line in lines[1:] if line.endswith(",nan,nan,nan,nan,nan")]
+    # sgc gives the disconnected trial, and so its point's mean, a nan row;
+    # mimosa clusters the largest component and fills every row
+    assert nan_rows == (["0.01,0,nan,nan,nan,nan,nan", "0.01,mean,nan,nan,nan,nan,nan"] if "sgc" in mode else [])
 
 
 # ---------------------------------------------------------------- evaluate

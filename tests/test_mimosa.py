@@ -19,12 +19,15 @@ from mlsgc import (
     MultilayerGraph,
     TwoLayerCorrelatedParams,
     adapt_weights,
+    aggregate,
     detectability,
     generate_rim,
     generate_two_layer,
     parse_result,
+    partial_eigenvalue_sum,
     run_mimosa,
     serialize_result,
+    smallest_eigenpairs,
     snr,
     vtest_homogeneity,
 )
@@ -128,6 +131,17 @@ def test_found_result_maximizes_snr(reliable_three_cluster_result):
     )
     # all reliable entries were recorded at the stopping K
     assert all(entry.K == result.K for entry in result.reliable_set)
+
+
+def test_selected_candidate_holds_the_selection_and_its_eigenvalues(reliable_three_cluster_result):
+    # sweep reads S2K_over_n from partial_sum; at 300 nodes solving the
+    # selected aggregation again is the same dense solve, bit for bit
+    graph, _, result = reliable_three_cluster_result
+    best = result.selected
+    assert (best.K, best.w, best.snr) == (result.K, result.w_star, result.snr)
+    assert best.assignment is result.assignment
+    embedding = smallest_eigenpairs(aggregate(graph, result.w_star), result.K)
+    assert best.partial_sum == partial_eigenvalue_sum(embedding)
 
 
 def test_trace_entries_are_recheckable(reliable_three_cluster_result):
@@ -249,6 +263,7 @@ def test_disconnected_graph_clusters_its_largest_component(reliable_three_cluste
     assert result.snr == connected.snr
     assert all(rec.disconnected and rec.component_size == 300 for rec in result.trace)
     assert all(candidate.assignment.labels[300:].tolist() == [3, 3] for candidate in result.reliable_set)
+    assert result.selected.partial_sum == connected.selected.partial_sum
 
 
 def test_very_sparse_noise_stops_at_a_clean_merge():
@@ -282,6 +297,7 @@ def test_pure_noise_is_not_applicable():
     assert result.assignment is None
     assert result.w_star is None
     assert not result.reliable_set
+    assert result.selected is None
     assert result.trace  # every attempted (K, tau) is still logged
 
 

@@ -175,15 +175,6 @@ def test_arpack_branch_embedding_invariants(arpack_graph):
         assert col[np.argmax(np.abs(col))] > 0
 
 
-def test_arpack_branch_warm_start_gives_same_eigenvalues(arpack_graph):
-    K = 4
-    cold = smallest_eigenpairs(arpack_graph, K)
-    warm = smallest_eigenpairs(arpack_graph, K, rng=np.random.default_rng(5), warm_start=cold.Y)
-    scale = cold.lambda_kplus1
-    assert np.max(np.abs(warm.eigenvalues - cold.eigenvalues)) <= 1e-8 * scale
-    assert warm.lambda_kplus1 == pytest.approx(cold.lambda_kplus1, rel=1e-8)
-
-
 def test_k_up_to_n_minus_one_above_dense_cutoff(arpack_graph):
     n = arpack_graph.n
     emb = smallest_eigenpairs(arpack_graph, n - 1)

@@ -120,7 +120,7 @@ def test_bounds_one_homogeneous_in_within_weights():
 def test_cluster_partial_sums_above_dense_cutoff_match_dense_oracle():
     g, asn = large_cluster_graph()
     w = LayerWeights(np.array([0.3, 0.7]))
-    sums = cluster_partial_sums(g, asn, w)
+    sums = cluster_partial_sums(aggregate(g, w), asn)
     agg = aggregate(g, w)
     for k in range(asn.K):
         idx = asn.members(k)
@@ -147,7 +147,7 @@ def test_layer_partial_sums_are_single_layer_cluster_sums():
     for layer in range(g.L):
         vertex = LayerWeights(np.eye(g.L)[layer])
         assert bounds.layer_partial_sums[layer] == pytest.approx(
-            cluster_partial_sums(g, asn, vertex), rel=1e-8
+            cluster_partial_sums(aggregate(g, vertex), asn), rel=1e-8
         )
     K = asn.K
     assert bounds.universal_lb == bounds.layer_partial_sums.min() / ((K - 1) * asn.n_max)
