@@ -7,156 +7,47 @@ clustering pipeline it provides phase-transition bound calculators,
 statistical reliability tests, an automated model-order selection loop
 (:func:`run_mimosa`), synthetic generators with ground truth, clustering
 quality metrics, and a command-line interface (``mlsgc``).
+
+Importing the package loads no submodule (and so neither numpy nor scipy):
+each public name below, and each submodule, is imported on first access.
 """
 
-from .graph_core import (
-    AggregatedGraph,
-    DuplicateEdgeError,
-    EdgeListFormatError,
-    LabelFileError,
-    LayerWeights,
-    MultilayerGraph,
-    aggregate,
-    connected_components,
-    degree_normalize,
-    parse_label_file,
-    parse_multilayer_edge_list,
-    serialize_label_file,
-    serialize_multilayer_edge_list,
-    within_cluster_laplacians,
-)
-from .metrics import (
-    MetricReport,
-    conductance,
-    contingency_table,
-    f_measure,
-    metric_report,
-    nmi,
-    normalized_cut,
-    rand_index,
-)
-from .mimosa import (
-    MimosaConfig,
-    MimosaResult,
-    ReliableCandidate,
-    TraceRecord,
-    adapt_weights,
-    parse_result,
-    run_mimosa,
-    serialize_result,
-    snr,
-)
-from .noise_stats import (
-    AnscombeResult,
-    GlrtResult,
-    NoiseEstimates,
-    anscombe_nonidentical_test,
-    chi_square_quantile,
-    estimate_noise,
-    glrt_identical_noise,
-    normal_cdf,
-    vtest_from_row_sums,
-    vtest_homogeneity,
-)
-from .spectral import (
-    ClusterAssignment,
-    ConvergenceError,
-    DisconnectedGraphError,
-    SpectralEmbedding,
-    kmeans,
-    multilayer_sgc,
-    partial_eigenvalue_sum,
-    smallest_eigenpairs,
-    subspace_distance,
-)
-from .synth import (
-    GeneralRimParams,
-    TwoLayerCorrelatedParams,
-    detectability,
-    generate_rim,
-    generate_two_layer,
-)
-from .theory import (
-    ClusterTooSmallError,
-    CriticalWeightSolution,
-    PhaseBounds,
-    breakdown_condition_holds,
-    breakdown_matrix,
-    cluster_partial_sums,
-    critical_bounds,
-    critical_weight_w1,
-    eigenvalue_bounds_check,
-    predicted_partial_sum,
-    subspace_perturbation_bound,
-)
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregatedGraph",
-    "AnscombeResult",
-    "ClusterAssignment",
-    "ClusterTooSmallError",
-    "ConvergenceError",
-    "CriticalWeightSolution",
-    "DisconnectedGraphError",
-    "DuplicateEdgeError",
-    "EdgeListFormatError",
-    "GeneralRimParams",
-    "GlrtResult",
-    "LabelFileError",
-    "LayerWeights",
-    "MetricReport",
-    "MimosaConfig",
-    "MimosaResult",
-    "MultilayerGraph",
-    "NoiseEstimates",
-    "PhaseBounds",
-    "ReliableCandidate",
-    "SpectralEmbedding",
-    "TraceRecord",
-    "TwoLayerCorrelatedParams",
-    "adapt_weights",
-    "aggregate",
-    "anscombe_nonidentical_test",
-    "breakdown_condition_holds",
-    "breakdown_matrix",
-    "chi_square_quantile",
-    "cluster_partial_sums",
-    "conductance",
-    "connected_components",
-    "contingency_table",
-    "critical_bounds",
-    "critical_weight_w1",
-    "degree_normalize",
-    "detectability",
-    "eigenvalue_bounds_check",
-    "estimate_noise",
-    "f_measure",
-    "generate_rim",
-    "generate_two_layer",
-    "glrt_identical_noise",
-    "kmeans",
-    "metric_report",
-    "multilayer_sgc",
-    "nmi",
-    "normal_cdf",
-    "normalized_cut",
-    "parse_label_file",
-    "parse_multilayer_edge_list",
-    "parse_result",
-    "partial_eigenvalue_sum",
-    "predicted_partial_sum",
-    "rand_index",
-    "run_mimosa",
-    "serialize_label_file",
-    "serialize_multilayer_edge_list",
-    "serialize_result",
-    "smallest_eigenpairs",
-    "snr",
-    "subspace_distance",
-    "subspace_perturbation_bound",
-    "vtest_from_row_sums",
-    "vtest_homogeneity",
-    "within_cluster_laplacians",
-]
+# Each public name, listed once under the submodule that defines it.
+_EXPORTS = {
+    "graph_core": "AggregatedGraph DuplicateEdgeError EdgeListFormatError LabelFileError LayerWeights "
+                  "MultilayerGraph aggregate connected_components degree_normalize parse_label_file "
+                  "parse_multilayer_edge_list serialize_label_file serialize_multilayer_edge_list "
+                  "within_cluster_laplacians",
+    "metrics": "MetricReport conductance contingency_table f_measure metric_report nmi normalized_cut rand_index",
+    "mimosa": "MimosaConfig MimosaResult ReliableCandidate TraceRecord adapt_weights parse_result run_mimosa "
+              "serialize_result snr",
+    "noise_stats": "AnscombeResult GlrtResult NoiseEstimates anscombe_nonidentical_test chi_square_quantile "
+                   "estimate_noise glrt_identical_noise normal_cdf vtest_from_row_sums vtest_homogeneity",
+    "spectral": "ClusterAssignment ConvergenceError DisconnectedGraphError SpectralEmbedding kmeans multilayer_sgc "
+                "partial_eigenvalue_sum smallest_eigenpairs subspace_distance",
+    "synth": "GeneralRimParams TwoLayerCorrelatedParams detectability generate_rim generate_two_layer",
+    "theory": "ClusterTooSmallError CriticalWeightSolution PhaseBounds breakdown_condition_holds breakdown_matrix "
+              "cluster_partial_sums critical_bounds critical_weight_w1 eigenvalue_bounds_check "
+              "predicted_partial_sum subspace_perturbation_bound",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -7,7 +7,8 @@ Conventions shared by all subcommands:
 * configuration files are flat ``key=value`` text with ``#`` comments;
 * every command is deterministic given its ``--seed``;
 * exit codes: 0 success, 2 usage or validation error, 3 model-order
-  selection found no reliable clustering, 4 numerical failure.
+  selection found no reliable clustering, 4 numerical failure;
+* warnings go to stderr as single ``warning: <message>`` lines.
 """
 
 from __future__ import annotations
@@ -15,12 +16,20 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 import warnings
 from dataclasses import replace
 from typing import Sequence
 
-import numpy as np
+# BLAS sizes its thread pool when numpy is first imported, and a threaded
+# OpenBLAS changes trailing digits of MIMOSA's trace floats.  Importing this
+# module pins one thread unless the caller chose a count; importing the
+# package loads no numpy, so this runs first.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_variable, "1")
+
+import numpy as np  # noqa: E402
 
 from .graph_core import (
     LayerWeights,
@@ -119,13 +128,20 @@ def _load_graph(path: str, normalize: bool) -> MultilayerGraph:
     return degree_normalize(graph) if normalize else graph
 
 
+def _layer_weights(values: Sequence[float], what: str) -> LayerWeights:
+    try:
+        return LayerWeights(np.array(values))
+    except ValueError as err:
+        raise ValueError(f"{what}: {err}") from None
+
+
 def _weights_or_uniform(text: str | None, n_layers: int, what: str) -> LayerWeights:
     if text is None:
         return LayerWeights.uniform(n_layers)
     values = _number_list(text, what)
     if len(values) != n_layers:
         raise ValueError(f"{what}: {len(values)} weights for {n_layers} layers")
-    return LayerWeights(np.array(values))
+    return _layer_weights(values, what)
 
 
 def _load_assignment(path: str, graph: MultilayerGraph) -> ClusterAssignment:
@@ -365,11 +381,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = []
     for values in itertools.product(*(values for _, values in axes)):
         point = {**fixed, **{name: float(v) for name, v in zip(axis_names, values)}}
-        weights = LayerWeights(np.array([point["w1"], 1.0 - point["w1"]])) if "w1" in point else base_w
+        params = TwoLayerCorrelatedParams(**model, p1=point["p1"], p2=point["p2"])
+        weights = _layer_weights([point["w1"], 1.0 - point["w1"]], "w1") if "w1" in point else base_w
         if "tau" in point:
             weights = adapt_weights(weights, np.array([point["p1"], point["p2"]]), point["tau"])
-        params = TwoLayerCorrelatedParams(**model, p1=point["p1"], p2=point["p2"])
         grid.append(([_fmt(v) for v in values], params, weights))
+    if k is not None and not 2 <= k < params.n:  # every point has the same cluster_sizes
+        raise ValueError(f"sweep: k must satisfy 2 <= k <= n-1 = {params.n - 1}, got {k}")
 
     lines = [",".join([*axis_names, "trial", *_SWEEP_COLUMNS])]
     for point_index, (prefix, params, weights) in enumerate(grid):
@@ -381,7 +399,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 warnings.simplefilter("always")
                 stats.append(_sweep_trial(replace(params, seed=trial_seed), weights, k, mimosa))
             for message in dict.fromkeys(str(w.message) for w in caught):
-                print(f"warning: {where}, trial {trial}: {message}", file=sys.stderr)
+                warnings.warn(f"{where}, trial {trial}: {message}")
             lines.append(",".join(prefix + [str(trial)] + [_fmt(v) for v in stats[-1]]))
         lines.append(",".join(prefix + ["mean"] + [_fmt(_mean(column, geometric)) for column in zip(*stats)]))
 
@@ -548,6 +566,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A :func:`warnings.showwarning` that prints only ``warning: <message>``."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = _build_parser()
@@ -555,15 +578,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.func(args)
-    # LinAlgError subclasses ValueError, so the numerical clause comes first
-    except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 4
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    # the caller's filters still decide which warnings show; only their form changes
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        # LinAlgError subclasses ValueError, so the numerical clause comes first
+        except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as err:
+            print(f"numerical failure: {err}", file=sys.stderr)
+            return 4
+        except (ValueError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -59,12 +59,12 @@ _MAX_NODE_PAIRS = 2**25
 
 def _validate_sizes(cluster_sizes: tuple[int, ...]) -> None:
     if len(cluster_sizes) == 0:
-        raise ValueError("at least one cluster is required")
+        raise ValueError("cluster_sizes: at least one cluster is required")
     if any(int(s) < 1 for s in cluster_sizes):
-        raise ValueError("cluster sizes must be positive")
+        raise ValueError(f"cluster_sizes must be positive, got {cluster_sizes}")
     n = sum(cluster_sizes)
     if n * (n - 1) // 2 > _MAX_NODE_PAIRS:
-        raise ValueError(f"cluster sizes give {n} nodes, more than the budget of "
+        raise ValueError(f"cluster_sizes give {n} nodes, more than the budget of "
                          f"{_MAX_NODE_PAIRS} node pairs allows")
 
 
@@ -94,11 +94,12 @@ class TwoLayerCorrelatedParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "cluster_sizes", tuple(int(s) for s in self.cluster_sizes))
         _validate_sizes(self.cluster_sizes)
-        qs = (self.q11, self.q10, self.q01, self.q00)
-        if not all(0.0 <= q <= 1.0 for q in qs):
-            raise ValueError(f"joint probabilities must be in [0, 1], got {qs}")
-        if abs(sum(qs) - 1.0) > 1e-12:
-            raise ValueError(f"joint probabilities must sum to 1, got {sum(qs)}")
+        qs = {"q11": self.q11, "q10": self.q10, "q01": self.q01, "q00": self.q00}
+        for name, q in qs.items():
+            if not 0.0 <= q <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {q}")
+        if abs(sum(qs.values()) - 1.0) > 1e-12:
+            raise ValueError(f"q11, q10, q01 and q00 must sum to 1, got {sum(qs.values())}")
         for name, p in (("p1", self.p1), ("p2", self.p2)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
@@ -224,16 +225,16 @@ class GeneralRimParams:
         K = len(self.cluster_sizes)
         L = int(self.n_layers)
         if L < 1:
-            raise ValueError("need at least one layer")
+            raise ValueError(f"n_layers must be at least 1, got {L}")
         object.__setattr__(self, "n_layers", L)
         if (self.within_probs is None) == (self.within_graphs is None):
             raise ValueError("exactly one of within_probs and within_graphs is required")
         if self.within_probs is not None:
             probs = np.asarray(self.within_probs, dtype=np.float64)
             if probs.shape != (L, K):
-                raise ValueError(f"within_probs must have shape {(L, K)}, got {probs.shape}")
+                raise ValueError(f"within_probs must have shape {(L, K)} (n_layers x clusters), got {probs.shape}")
             if not np.all((probs >= 0.0) & (probs <= 1.0)):
-                raise ValueError("within-cluster probabilities must be in [0, 1]")
+                raise ValueError("within_probs must be in [0, 1]")
             probs.setflags(write=False)
             object.__setattr__(self, "within_probs", probs)
         else:
@@ -252,13 +253,13 @@ class GeneralRimParams:
         noise_p = self._noise_spec(self.noise_probs, "noise_probs", 0.0)
         noise_w = self._noise_spec(self.noise_weight_means, "noise_weight_means", 1.0)
         if not np.all((noise_p >= 0.0) & (noise_p <= 1.0)):
-            raise ValueError("noise probabilities must be in [0, 1]")
+            raise ValueError("noise_probs must be in [0, 1]")
         # only blocks above the diagonal are sampled; an (L, 1, 1) spec stands for all of them
         bad = (noise_p > 0.0) & ~((noise_w > 0.0) & np.isfinite(noise_w))
         if bad.shape[1] > 1:
             bad = np.triu(bad, k=1)
         if K > 1 and bad.any():
-            raise ValueError("noise weight means must be positive and finite wherever the probability is positive")
+            raise ValueError("noise_weight_means must be positive and finite wherever noise_probs is positive")
         # read-only (L, K, K) views; a compact spec is broadcast, not copied
         object.__setattr__(self, "_noise_p", np.broadcast_to(noise_p, (L, K, K)))
         object.__setattr__(self, "_noise_w", np.broadcast_to(noise_w, (L, K, K)))

@@ -5,6 +5,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -20,8 +24,10 @@ import mlsgc.spectral
 
 from mlsgc import (
     ClusterAssignment,
+    TwoLayerCorrelatedParams,
     conductance,
     f_measure,
+    generate_two_layer,
     nmi,
     normalized_cut,
     parse_label_file,
@@ -34,11 +40,14 @@ from mlsgc.cli import main
 
 from .conftest import adjacency_from_edges, connected_random_multilayer, dense_graph, ids
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_in_process(argv):
+def run_in_process(argv, broken=()):
     """Exit code of ``main(argv)`` with stdout dropped and warnings silenced,
-    after checking the code is documented and stderr starts as it says."""
+    after checking the code is documented and stderr starts as it says.
+    ``broken`` holds the names of the one key the input breaks, if any: an
+    exit 2 then names one of them, and without them there is no exit 2."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -46,6 +55,7 @@ def run_in_process(argv):
     assert code in (0, 2, 3, 4), (argv[0], code, err.getvalue())
     if code == 2:
         assert err.getvalue().startswith("error:"), (argv[0], err.getvalue())
+        assert any(re.search(rf"\b{name}\b", err.getvalue()) for name in broken), (argv[0], broken, err.getvalue())
     if code == 4:
         assert err.getvalue().startswith("numerical failure:"), (argv[0], err.getvalue())
     return code
@@ -73,9 +83,19 @@ def _value(draw, key, bad_key, valid, invalid):
     return draw(st.sampled_from(invalid if key == bad_key else valid))
 
 
+def _names(bad, **groups):
+    """The names an error about the broken key ``bad`` may use (none when
+    nothing is broken): a group key stands for each of its members."""
+    return () if bad is None else groups.get(bad, (bad,))
+
+
+_Q_KEYS = ("q11", "q10", "q01", "q00")
+
+
 @st.composite
 def generate_params(draw):
-    """A ``generate`` params file for either generator on at most 12 nodes."""
+    """A ``generate`` params file for either generator on at most 12 nodes,
+    and the names of its broken key."""
     rim = draw(st.booleans())
     keys = ["generator", "cluster_sizes", "seed"] + (
         ["n_layers", "within_probs", "noise_probs", "noise_weight_means", "weight_distribution"] if rim
@@ -86,9 +106,9 @@ def generate_params(draw):
              ("cluster_sizes", sizes), ("seed", _value(draw, "seed", bad, ["0", "7"], ["-1", "x"]))]
     if not rim:
         q = _value(draw, "q", bad, _VALID_Q, _BAD_Q)
-        return _config(items + [*zip(("q11", "q10", "q01", "q00"), q),
+        return _config(items + [*zip(_Q_KEYS, q),
                                 ("p1", _value(draw, "p1", bad, _VALID_P, _BAD_P)),
-                                ("p2", _value(draw, "p2", bad, _VALID_P, _BAD_P))])
+                                ("p2", _value(draw, "p2", bad, _VALID_P, _BAD_P))]), _names(bad, q=_Q_KEYS)
     n_layers = draw(st.integers(1, 3))
     K = len(sizes.split(",")) if bad != "cluster_sizes" else 2
     row = ",".join(draw(st.sampled_from(_VALID_P)) for _ in range(K))
@@ -102,7 +122,7 @@ def generate_params(draw):
                                ["nan", "2", ",".join(["0.1"] * (n_layers + 1))])),
         ("noise_weight_means", _value(draw, "noise_weight_means", bad, [None, "1.5"], ["0", "inf", "-2"])),
         ("weight_distribution", _value(draw, "weight_distribution", bad, [None, "constant", "uniform"], ["gamma"])),
-    ])
+    ]), _names(bad)
 
 
 # valid axes have at most 3 points; the bad ones are rejected before the grid exists
@@ -113,7 +133,8 @@ _BAD_AXES = ["q11:0:1:0.5", "p1:0:1:0", "p1:0:1:nan", "p1:0:inf:0.5", "p1:1:0:0.
 
 @st.composite
 def sweep_specs(draw):
-    """A ``sweep`` spec in either mode, each sample on at most 12 nodes."""
+    """A ``sweep`` spec in either mode, each sample on at most 12 nodes, and
+    the names of its broken key."""
     mimosa = draw(st.booleans())
     bad = draw(st.one_of(st.none(), st.sampled_from(
         ["axis", "axis2", "cluster_sizes", "q", "p", "w", "k", "mode", "trials", "seed"])))
@@ -127,22 +148,24 @@ def sweep_specs(draw):
         w = _value(draw, "w", bad, [None, "0.5,0.5", "1,0"], ["-1,2", "0.5", "0,0"])
     return _config([
         ("axis", axis), ("axis2", axis2), ("cluster_sizes", _value(draw, "cluster_sizes", bad, _VALID_SIZES, _BAD_SIZES)),
-        *zip(("q11", "q10", "q01", "q00"), _value(draw, "q", bad, _VALID_Q, _BAD_Q)), *fixed.items(), ("w", w),
-        ("k", None if mimosa else _value(draw, "k", bad, ["1", "2", "3"], ["0", "50", "x"])),
+        *zip(_Q_KEYS, _value(draw, "q", bad, _VALID_Q, _BAD_Q)), *fixed.items(), ("w", w),
+        ("k", None if mimosa else _value(draw, "k", bad, ["2", "3"], ["0", "1", "50", "x"])),
         ("max_k", _value(draw, "k", bad, ["2", "3"], ["0", "-1"]) if mimosa else None),
         ("mode", _value(draw, "mode", bad, ["mimosa" if mimosa else "sgc"], ["other"])),
         ("trials", _value(draw, "trials", bad, ["1", "2"], ["0", "-1", "x"])),
         ("seed", _value(draw, "seed", bad, ["0", "11"], ["-1", "x"])),
-    ])
+    ]), _names(bad, q=_Q_KEYS, p=("p1", "p2"), k=("max_k",) if mimosa else ("k",))
 
 
 @given(generate_params(), sweep_specs())
 @settings(max_examples=100, deadline=None)
 def test_generate_and_sweep_exit_with_a_documented_code(params, spec):
+    (params, params_broken), (spec, spec_broken) = params, spec
     with tempfile.TemporaryDirectory() as work:
         run_in_process(["generate", write(Path(work) / "params.cfg", params),
-                        "--edges", str(Path(work) / "g.tsv"), "--labels", str(Path(work) / "g.labels")])
-        run_in_process(["sweep", write(Path(work) / "sweep.cfg", spec)])
+                        "--edges", str(Path(work) / "g.tsv"), "--labels", str(Path(work) / "g.labels")],
+                       params_broken)
+        run_in_process(["sweep", write(Path(work) / "sweep.cfg", spec)], spec_broken)
 
 GENERATE_PARAMS = """\
 # three planted clusters, correlated layers
@@ -351,7 +374,7 @@ def test_generate_rejects_sizes_over_the_pair_budget_without_allocating(tmp_path
         tracemalloc.stop()
     assert code == 2
     assert out == ""
-    assert err == "error: cluster sizes give 10000000000 nodes, more than the budget of 33554432 node pairs allows\n"
+    assert err == "error: cluster_sizes give 10000000000 nodes, more than the budget of 33554432 node pairs allows\n"
     assert peak < 1 << 20
     assert not edges.exists()
 
@@ -466,6 +489,51 @@ def test_mimosa_deterministic_output(generated, capsys):
         assert code == 0
         docs.append(out)
     assert docs[0] == docs[1]
+
+
+def test_mimosa_prints_the_disconnected_warning_as_one_line(tmp_path, capsys):
+    # two triangles joined by c-d, and a separate edge x-y; the warning used
+    # to come with its source file, line and code
+    edges = write(tmp_path / "split.tsv", "".join(
+        f"0\t{u}\t{v}\t1\n" for u, v in ("ab", "ac", "bc", "cd", "de", "df", "ef", "xy")
+    ))
+    code, out, err = run_cli(capsys, "mimosa", edges, "--max-k", "2")
+    assert code == 0
+    assert parse_result(out)["status"] == "found"
+    assert err == "warning: aggregated graph is disconnected; clustering its largest component (6 of 8 nodes)\n"
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child_env(**threads):
+    """This process's environment without the BLAS thread variables, plus
+    ``threads``, with the package's source on the path."""
+    env = {key: value for key, value in os.environ.items() if key not in _BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return {**env, **threads}
+
+
+def test_mimosa_stdout_does_not_depend_on_unset_blas_threads(tmp_path):
+    # A threaded OpenBLAS used to change trailing t_lb_hat digits of this
+    # graph's trace: the CLI pins one thread unless the caller chose a count.
+    graph, _ = generate_two_layer(TwoLayerCorrelatedParams(
+        cluster_sizes=(200, 200, 200), q11=0.3, q10=0.2, q01=0.1, q00=0.4, p1=0.25, p2=0.3, seed=7,
+    ))
+    edges = write(tmp_path / "g.tsv", serialize_multilayer_edge_list(graph))
+    argv = [sys.executable, "-m", "mlsgc.cli", "mimosa", edges, "--seed", "3", "--max-k", "2"]
+    unset, pinned = (
+        subprocess.run(argv, env=env, capture_output=True, timeout=300)
+        for env in (_child_env(), _child_env(**dict.fromkeys(_BLAS_THREADS, "1")))
+    )
+    # K = 2 of three planted clusters is not reliable
+    assert (unset.returncode, pinned.returncode) == (3, 3), unset.stderr
+    assert unset.stdout == pinned.stdout
+    # an explicit count is the caller's choice and stays
+    probe = "import os, mlsgc.cli; print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+    shown = subprocess.run([sys.executable, "-c", probe], env=_child_env(OPENBLAS_NUM_THREADS="2"),
+                           capture_output=True, text=True, check=True, timeout=60).stdout
+    assert shown == "2 1\n"
 
 
 # ------------------------------------------------------------------- sweep

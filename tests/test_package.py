@@ -1,0 +1,80 @@
+"""The package namespace: every public name, each loaded on first use."""
+
+from __future__ import annotations
+
+import importlib
+import subprocess
+import sys
+from pathlib import Path
+
+import mlsgc
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# The public names, by the submodule that defines each.
+PUBLIC = {
+    "graph_core": [
+        "AggregatedGraph", "DuplicateEdgeError", "EdgeListFormatError", "LabelFileError", "LayerWeights",
+        "MultilayerGraph", "aggregate", "connected_components", "degree_normalize", "parse_label_file",
+        "parse_multilayer_edge_list", "serialize_label_file", "serialize_multilayer_edge_list",
+        "within_cluster_laplacians",
+    ],
+    "metrics": [
+        "MetricReport", "conductance", "contingency_table", "f_measure", "metric_report", "nmi", "normalized_cut",
+        "rand_index",
+    ],
+    "mimosa": [
+        "MimosaConfig", "MimosaResult", "ReliableCandidate", "TraceRecord", "adapt_weights", "parse_result",
+        "run_mimosa", "serialize_result", "snr",
+    ],
+    "noise_stats": [
+        "AnscombeResult", "GlrtResult", "NoiseEstimates", "anscombe_nonidentical_test", "chi_square_quantile",
+        "estimate_noise", "glrt_identical_noise", "normal_cdf", "vtest_from_row_sums", "vtest_homogeneity",
+    ],
+    "spectral": [
+        "ClusterAssignment", "ConvergenceError", "DisconnectedGraphError", "SpectralEmbedding", "kmeans",
+        "multilayer_sgc", "partial_eigenvalue_sum", "smallest_eigenpairs", "subspace_distance",
+    ],
+    "synth": ["GeneralRimParams", "TwoLayerCorrelatedParams", "detectability", "generate_rim", "generate_two_layer"],
+    "theory": [
+        "ClusterTooSmallError", "CriticalWeightSolution", "PhaseBounds", "breakdown_condition_holds",
+        "breakdown_matrix", "cluster_partial_sums", "critical_bounds", "critical_weight_w1",
+        "eigenvalue_bounds_check", "predicted_partial_sum", "subspace_perturbation_bound",
+    ],
+}
+
+
+def test_importing_the_package_loads_no_submodule_numpy_or_scipy():
+    code = ("import sys, mlsgc; print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('numpy', 'scipy') or m.startswith('mlsgc.')))")
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": SRC}, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "[]\n"
+
+
+def test_all_lists_every_public_name_once():
+    names = [name for module_names in PUBLIC.values() for name in module_names]
+    assert len(names) == 66
+    assert sorted(mlsgc.__all__) == sorted(names)
+    assert len(set(mlsgc.__all__)) == len(mlsgc.__all__)
+
+
+def test_each_name_is_its_submodules_object():
+    for module, names in PUBLIC.items():
+        submodule = importlib.import_module(f"mlsgc.{module}")
+        assert getattr(mlsgc, module) is submodule
+        for name in names:
+            assert getattr(mlsgc, name) is getattr(submodule, name), name
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from mlsgc import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == sorted(mlsgc.__all__)
+    assert all(namespace[name] is getattr(mlsgc, name) for name in mlsgc.__all__)
+
+
+def test_version_dir_and_unknown_names():
+    assert mlsgc.__version__ == "0.1.0"
+    assert set(mlsgc.__all__) | set(PUBLIC) <= set(dir(mlsgc))
+    assert not hasattr(mlsgc, "no_such_name")
