@@ -20,16 +20,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "graph_core": "AggregatedGraph DuplicateEdgeError EdgeListFormatError LabelFileError LayerWeights "
                   "MultilayerGraph aggregate connected_components degree_normalize parse_label_file "
-                  "parse_multilayer_edge_list serialize_label_file serialize_multilayer_edge_list "
-                  "within_cluster_laplacians",
-    "metrics": "MetricReport conductance contingency_table f_measure metric_report nmi normalized_cut rand_index",
+                  "parse_multilayer_edge_list serialize_label_file serialize_multilayer_edge_list",
+    "metrics": "MetricReport conductance contingency_table detectability f_measure metric_report nmi normalized_cut "
+               "rand_index",
     "mimosa": "MimosaConfig MimosaResult ReliableCandidate TraceRecord adapt_weights parse_result run_mimosa "
               "serialize_result snr",
     "noise_stats": "AnscombeResult GlrtResult NoiseEstimates anscombe_nonidentical_test chi_square_quantile "
                    "estimate_noise glrt_identical_noise normal_cdf vtest_from_row_sums vtest_homogeneity",
     "spectral": "ClusterAssignment ConvergenceError DisconnectedGraphError SpectralEmbedding kmeans multilayer_sgc "
                 "partial_eigenvalue_sum smallest_eigenpairs subspace_distance",
-    "synth": "GeneralRimParams TwoLayerCorrelatedParams detectability generate_rim generate_two_layer",
+    "synth": "GeneralRimParams TwoLayerCorrelatedParams generate_rim generate_two_layer",
     "theory": "ClusterTooSmallError CriticalWeightSolution PhaseBounds breakdown_condition_holds breakdown_matrix "
               "cluster_partial_sums critical_bounds critical_weight_w1 eigenvalue_bounds_check "
               "predicted_partial_sum subspace_perturbation_bound",

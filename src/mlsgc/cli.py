@@ -40,11 +40,11 @@ from .graph_core import (
     serialize_label_file,
     serialize_multilayer_edge_list,
 )
-from .metrics import metric_report
+from .metrics import detectability, metric_report
 from .mimosa import MimosaConfig, adapt_weights, run_mimosa, serialize_result, strict_json
 from .noise_stats import estimate_noise
 from .spectral import ClusterAssignment, ConvergenceError, DisconnectedGraphError, multilayer_sgc, partial_eigenvalue_sum
-from .synth import GeneralRimParams, TwoLayerCorrelatedParams, detectability, generate_rim, generate_two_layer
+from .synth import GeneralRimParams, TwoLayerCorrelatedParams, generate_rim, generate_two_layer
 from .theory import breakdown_condition_holds, breakdown_matrix, critical_bounds, critical_weight_w1, predicted_partial_sum
 
 __all__ = ["main"]

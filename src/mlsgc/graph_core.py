@@ -38,11 +38,11 @@ __all__ = [
     "aggregate",
     "connected_components",
     "degree_normalize",
+    "induced_subgraph",
     "parse_label_file",
     "parse_multilayer_edge_list",
     "serialize_label_file",
     "serialize_multilayer_edge_list",
-    "within_cluster_laplacians",
 ]
 
 
@@ -254,15 +254,17 @@ class LayerWeights:
 
 @dataclass(frozen=True, eq=False)
 class AggregatedGraph:
-    """A convex combination of the layers of a multilayer graph.
+    """A convex combination of the layers of a multilayer graph, or a subgraph
+    of a weight matrix induced on a node set (:func:`induced_subgraph`).
 
     Attributes:
         weight_matrix: canonical CSR combined weight matrix.
         strength: per-node strength vector (row sums of ``weight_matrix``).
 
-    The graph Laplacian ``diag(strength) - weight_matrix`` is kept implicit;
-    use :meth:`laplacian`, :meth:`laplacian_dense` or
-    :meth:`laplacian_matvec`.
+    The graph Laplacian ``diag(strength) - weight_matrix`` is kept implicit:
+    :meth:`laplacian` builds it sparse and :meth:`laplacian_dense` dense, with
+    equal bytes, and :meth:`laplacian_matvec` applies it to a vector.  The
+    eigensolver takes the graph and builds whichever form it solves.
     """
 
     weight_matrix: sparse.csr_array
@@ -278,8 +280,13 @@ class AggregatedGraph:
         return sparse.csr_array(lap)
 
     def laplacian_dense(self) -> np.ndarray:
-        """Dense Laplacian; intended for small graphs and test oracles."""
-        dense = -self.weight_matrix.toarray()
+        """Dense Laplacian, byte-equal to ``laplacian().toarray()``.
+
+        ``0.0 - W`` rather than ``-W``: a missing edge is ``+0.0``, as in the
+        sparse form, not ``-0.0``; LAPACK's output bits can depend on the
+        sign of a zero.
+        """
+        dense = 0.0 - self.weight_matrix.toarray()
         np.fill_diagonal(dense, self.strength)
         return dense
 
@@ -602,43 +609,14 @@ def connected_components(g: AggregatedGraph) -> list[np.ndarray]:
     return [np.flatnonzero(labels == c) for c in range(n_components)]
 
 
-def subgraph_laplacian(weight_matrix: sparse.csr_array, nodes: np.ndarray) -> sparse.csr_array:
-    """Laplacian of the induced subgraph on ``nodes`` (sorted index array).
+def induced_subgraph(weight_matrix: sparse.csr_array, nodes: np.ndarray) -> AggregatedGraph:
+    """The subgraph of ``weight_matrix`` induced on ``nodes`` (sorted index array).
 
-    A strength that overflows is left infinite on the diagonal, without a
-    warning; callers that can name the node check it.
+    A strength that overflows is left infinite, without a warning; callers
+    that can name the node check it.
     """
     sub = weight_matrix[nodes][:, nodes]
     with np.errstate(over="ignore"):
         strength = np.asarray(sub.sum(axis=1)).ravel()
-    lap = sparse.diags_array(strength, format="csr") - sub
-    return sparse.csr_array(lap)
-
-
-def within_cluster_laplacians(graph: MultilayerGraph, assignment) -> list[list[sparse.csr_array]]:
-    """Laplacians of each cluster's induced subgraph in each layer.
-
-    Args:
-        assignment: a cluster assignment covering all nodes (anything with
-            ``labels``/``K``/``members``).
-
-    Returns:
-        Nested list indexed ``[layer][cluster]``; each entry is the sparse
-        Laplacian of the induced subgraph on that cluster's nodes in that
-        layer (a cluster of size s gives an s x s matrix with zero row sums).
-
-    Raises:
-        ValueError: the assignment does not cover the node set, or a node's
-            within-cluster strength in some layer overflows to infinity
-            (naming the layer and its first such node).
-    """
-    if len(assignment.labels) != graph.n:
-        raise ValueError("assignment does not cover the node set")
-    members = [assignment.members(k) for k in range(assignment.K)]
-    laplacians = [[subgraph_laplacian(mat, idx) for idx in members] for mat in graph.layers]
-    for layer, laps in enumerate(laplacians):
-        overflowed = np.concatenate([idx[~np.isfinite(lap.diagonal())] for idx, lap in zip(members, laps)])
-        if overflowed.size:
-            raise ValueError(f"layer {layer}: within-cluster strength of node {graph.node_ids[overflowed.min()]!r} "
-                             "is not finite: its edge weights are too large")
-    return laplacians
+    strength.setflags(write=False)
+    return AggregatedGraph(weight_matrix=sub, strength=strength)

@@ -1,7 +1,8 @@
 """External and internal clustering quality metrics.
 
-External metrics (need ground truth): normalized mutual information, Rand
-index, and mean per-cluster F-measure.  Internal metrics (need only the
+External metrics (need ground truth): detectability (the best-matching
+fraction of nodes two assignments agree on), normalized mutual information,
+Rand index, and mean per-cluster F-measure.  Internal metrics (need only the
 graph): conductance and normalized cut, evaluated per layer with the
 single-layer formulas, averaged over clusters within a layer, and summed
 across layers.
@@ -14,6 +15,7 @@ from typing import Iterator
 
 import numpy as np
 from scipy import sparse, special
+from scipy.optimize import linear_sum_assignment
 
 from .graph_core import MultilayerGraph
 from .spectral import ClusterAssignment
@@ -22,6 +24,7 @@ __all__ = [
     "MetricReport",
     "conductance",
     "contingency_table",
+    "detectability",
     "f_measure",
     "metric_report",
     "nmi",
@@ -41,6 +44,22 @@ def contingency_table(found: ClusterAssignment, truth: ClusterAssignment) -> np.
     table = np.zeros((found.K, truth.K), dtype=np.int64)
     np.add.at(table, (found.labels, truth.labels), 1)
     return table
+
+
+def detectability(found: ClusterAssignment, truth: ClusterAssignment) -> float:
+    """Best-matching agreement fraction between two assignments, in [0, 1].
+
+    The maximum over cluster relabelings of ``(1/n) sum_k |found_perm(k) ∩
+    truth_k|``, computed as a maximum-weight assignment on the overlap
+    matrix (padded square when the cluster counts differ, extra clusters
+    matching nothing).  Equals 1 iff the partitions coincide.
+    """
+    table = contingency_table(found, truth)
+    size = max(table.shape)
+    padded = np.zeros((size, size), dtype=np.float64)
+    padded[: table.shape[0], : table.shape[1]] = table
+    rows, cols = linear_sum_assignment(padded, maximize=True)
+    return float(padded[rows, cols].sum() / found.n)
 
 
 def nmi(found: ClusterAssignment, truth: ClusterAssignment) -> float:

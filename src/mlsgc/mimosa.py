@@ -114,7 +114,9 @@ def adapt_weights(w_ini: LayerWeights, t_hat: np.ndarray, tau: float) -> LayerWe
 
     ``w_l proportional to w_ini_l / (1 + tau * t_hat_l)``, renormalized to
     the simplex.  ``tau = 0`` returns ``w_ini`` unchanged; equal noise across
-    layers cancels in the normalization for every tau.
+    layers cancels in the normalization for every tau.  Where some
+    ``tau * t_hat_l`` overflows, every denominator is divided by
+    ``max(t_hat)`` first, which leaves the proportions as they are.
 
     Raises:
         ValueError: negative tau, negative noise estimates, or length
@@ -127,7 +129,12 @@ def adapt_weights(w_ini: LayerWeights, t_hat: np.ndarray, tau: float) -> LayerWe
         raise ValueError("noise vector length must match the weight vector")
     if np.any(t_hat < 0.0):
         raise ValueError("noise estimates must be nonnegative")
-    return LayerWeights(w_ini.values / (1.0 + tau * t_hat))
+    with np.errstate(over="ignore"):
+        denominators = 1.0 + tau * t_hat
+    if not np.all(np.isfinite(denominators)):
+        scale = t_hat.max()
+        denominators = 1.0 / scale + tau * (t_hat / scale)
+    return LayerWeights(w_ini.values / denominators)
 
 
 def snr(t_lb_hat: float, t_hat_w: float) -> float:

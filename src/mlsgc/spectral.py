@@ -8,10 +8,11 @@ objective value of the relaxed multi-way cut and drives the phase-transition
 analysis elsewhere in the package.
 
 Every Laplacian eigenproblem of the package goes through one function,
-:func:`smallest_laplacian_eigs`, with one size rule: up to 512 nodes it
-solves densely (LAPACK), above that it runs ARPACK from a start vector
-drawn from the caller's seeded generator, so results are reproducible bit
-for bit.
+:func:`smallest_laplacian_eigs`.  It takes the graph, not its Laplacian,
+and builds the form it solves by one size rule: up to 512 nodes a dense
+Laplacian for LAPACK, above that a sparse one for ARPACK, started from a
+vector drawn from the caller's seeded generator, so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import linalg
 from scipy.sparse import linalg as sparse_linalg
 
 from .graph_core import AggregatedGraph, LayerWeights, MultilayerGraph, aggregate, connected_components
@@ -179,25 +180,26 @@ _DENSE_MAX_N = 512
 
 
 def smallest_laplacian_eigs(
-    lap: sparse.csr_array,
+    g: AggregatedGraph,
     count: int,
     *,
     rng: np.random.Generator | None = None,
     vectors: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """The ``count`` smallest eigenvalues of a sparse graph Laplacian, ascending.
+    """The ``count`` smallest eigenvalues of a graph's Laplacian, ascending.
 
     Up to 512 nodes, or when ``count >= n`` (ARPACK needs ``count < n``),
-    the Laplacian is solved densely: ``numpy.linalg.eigvalsh`` for values,
+    the dense Laplacian is solved: ``numpy.linalg.eigvalsh`` for values,
     ``scipy.linalg.eigh`` restricted to the wanted indices with vectors.
-    Larger inputs go to ARPACK (``scipy.sparse.linalg.eigsh`` with
-    ``which="SA"``, converged to machine precision) from a start vector
-    drawn from ``rng``, so repeated calls with equal generators return
-    identical bits.  The Laplacian may be disconnected; eigenvalues are
-    clipped at 0 against round-off.
+    Larger graphs go to ARPACK (``scipy.sparse.linalg.eigsh`` with
+    ``which="SA"``, converged to machine precision) on the sparse Laplacian
+    from a start vector drawn from ``rng``, so repeated calls with equal
+    generators return identical bits.  The graph may be disconnected;
+    eigenvalues are clipped at 0 against round-off.
 
     Args:
-        lap: symmetric sparse Laplacian of ``n`` nodes.
+        g: graph of ``n`` nodes, such as an aggregation or an induced
+            subgraph of one.
         count: number of eigenvalues wanted, ``1 <= count <= n``.
         rng: source of ARPACK's start vector; defaults to a fixed seed.
         vectors: also return the ``(n, count)`` unit eigenvectors.
@@ -206,9 +208,9 @@ def smallest_laplacian_eigs(
         ConvergenceError: ARPACK failed; ``residual`` is nan because ARPACK
             reports none.
     """
-    n = lap.shape[0]
+    n = g.n
     if n <= _DENSE_MAX_N or count >= n:
-        dense = lap.toarray()
+        dense = g.laplacian_dense()
         if not vectors:
             return np.maximum(np.linalg.eigvalsh(dense)[:count], 0.0)
         values, vecs = linalg.eigh(dense, subset_by_index=(0, count - 1))
@@ -216,7 +218,7 @@ def smallest_laplacian_eigs(
     if rng is None:
         rng = np.random.default_rng(0)
     try:
-        values, vecs = sparse_linalg.eigsh(lap, k=count, which="SA", v0=rng.standard_normal(n))
+        values, vecs = sparse_linalg.eigsh(g.laplacian(), k=count, which="SA", v0=rng.standard_normal(n))
     except sparse_linalg.ArpackError as err:
         raise ConvergenceError(f"ARPACK eigensolver failed: {err}", residual=float("nan")) from err
     order = np.argsort(values)
@@ -255,7 +257,7 @@ def smallest_eigenpairs(
     if len(connected_components(g)) != 1:
         raise DisconnectedGraphError("aggregated graph is disconnected")
 
-    eigenvalues, vecs = smallest_laplacian_eigs(g.laplacian(), K + 1, rng=rng, vectors=True)
+    eigenvalues, vecs = smallest_laplacian_eigs(g, K + 1, rng=rng, vectors=True)
     Y = vecs[:, 1:K].copy()
     for col in range(Y.shape[1]):
         pivot = int(np.argmax(np.abs(Y[:, col])))

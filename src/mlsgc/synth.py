@@ -1,4 +1,4 @@
-"""Synthetic multilayer graph generators and ground-truth scoring.
+"""Synthetic multilayer graph generators with ground truth.
 
 Two generators:
 
@@ -10,9 +10,6 @@ Two generators:
   edge probabilities (or explicitly supplied within-cluster subgraphs) plus
   between-cluster blocks with per-block edge probabilities and weight
   distributions.
-
-Plus cluster detectability: the best-matching fraction of nodes two
-assignments agree on, via optimal assignment over cluster overlaps.
 """
 
 from __future__ import annotations
@@ -21,16 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment
 
 from .graph_core import MultilayerGraph
-from .metrics import contingency_table
 from .spectral import ClusterAssignment
 
 __all__ = [
     "GeneralRimParams",
     "TwoLayerCorrelatedParams",
-    "detectability",
     "generate_rim",
     "generate_two_layer",
 ]
@@ -166,12 +160,14 @@ def generate_two_layer(params: TwoLayerCorrelatedParams) -> tuple[MultilayerGrap
 
 def _within_block(block, size: int, name: str) -> sparse.csr_array:
     """A canonical float64 CSR copy of a within-cluster block, checked to be
-    ``size x size`` and exactly symmetric."""
+    ``size x size``, finite and nonnegative, and exactly symmetric."""
     mat = sparse.csr_array(block, dtype=np.float64, copy=True)
     if mat.shape != (size, size):
         raise ValueError(f"{name}: expected shape {(size, size)} for a cluster of {size} nodes, got {mat.shape}")
     mat.sum_duplicates()
     mat.eliminate_zeros()
+    if not np.all(np.isfinite(mat.data) & (mat.data >= 0.0)):
+        raise ValueError(f"{name}: weights must be finite and nonnegative")
     if (mat != mat.T).nnz != 0:
         raise ValueError(f"{name}: weight matrix must be exactly symmetric")
     return mat
@@ -360,19 +356,3 @@ def _rim_layer(params: GeneralRimParams, layer: int, slices: list[slice],
             data.append(weights)
 
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
-
-
-def detectability(found: ClusterAssignment, truth: ClusterAssignment) -> float:
-    """Best-matching agreement fraction between two assignments, in [0, 1].
-
-    The maximum over cluster relabelings of ``(1/n) sum_k |found_perm(k) ∩
-    truth_k|``, computed as a maximum-weight assignment on the overlap
-    matrix (padded square when the cluster counts differ, extra clusters
-    matching nothing).  Equals 1 iff the partitions coincide.
-    """
-    table = contingency_table(found, truth)
-    size = max(table.shape)
-    padded = np.zeros((size, size), dtype=np.float64)
-    padded[: table.shape[0], : table.shape[1]] = table
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    return float(padded[rows, cols].sum() / found.n)

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import (
-    AggregatedGraph,
-    LayerWeights,
-    MultilayerGraph,
-    aggregate,
-    subgraph_laplacian,
-    within_cluster_laplacians,
-)
+from .graph_core import AggregatedGraph, LayerWeights, MultilayerGraph, aggregate, induced_subgraph
 from .spectral import ClusterAssignment, SpectralEmbedding, smallest_laplacian_eigs
 
 __all__ = [
@@ -91,9 +84,9 @@ class PhaseBounds:
         return float(self.cluster_partial_sums.min() / self.n)
 
 
-def _partial_sum(lap, K: int) -> float:
-    """``lambda_2 + .. + lambda_K`` of a Laplacian."""
-    return float(np.sum(smallest_laplacian_eigs(lap, K)[1:K]))
+def _partial_sum(g: AggregatedGraph, K: int) -> float:
+    """``lambda_2 + .. + lambda_K`` of a graph's Laplacian."""
+    return float(np.sum(smallest_laplacian_eigs(g, K)[1:K]))
 
 
 def cluster_partial_sums(agg: AggregatedGraph, assignment: ClusterAssignment) -> np.ndarray:
@@ -110,7 +103,7 @@ def cluster_partial_sums(agg: AggregatedGraph, assignment: ClusterAssignment) ->
         raise ClusterTooSmallError(
             f"every cluster needs at least K={K} nodes; smallest has {assignment.n_min}"
         )
-    sums = np.array([_partial_sum(subgraph_laplacian(agg.weight_matrix, assignment.members(k)), K)
+    sums = np.array([_partial_sum(induced_subgraph(agg.weight_matrix, assignment.members(k)), K)
                      for k in range(K)])
     sums.setflags(write=False)
     return sums
@@ -132,14 +125,26 @@ def critical_bounds(
     subgraph.  With equal cluster sizes ``t_lb == t_ub``.
 
     Raises:
+        ValueError: the assignment does not cover the node set, or a node's
+            within-cluster strength in some layer overflows to infinity
+            (naming the layer and its first such node).
         ClusterTooSmallError: some cluster has fewer than K nodes.
     """
+    if assignment.n != graph.n:
+        raise ValueError("assignment does not cover the node set")
     sums = cluster_partial_sums(aggregate(graph, weights), assignment)
     K = assignment.K
     n_min, n_max = assignment.n_min, assignment.n_max
 
-    per_layer = np.array([[_partial_sum(lap, K) for lap in laps]
-                          for laps in within_cluster_laplacians(graph, assignment)])
+    members = [assignment.members(k) for k in range(K)]
+    per_layer = np.empty((graph.L, K))
+    for layer, mat in enumerate(graph.layers):
+        subgraphs = [induced_subgraph(mat, idx) for idx in members]
+        overflowed = np.concatenate([idx[~np.isfinite(sub.strength)] for idx, sub in zip(members, subgraphs)])
+        if overflowed.size:
+            raise ValueError(f"layer {layer}: within-cluster strength of node {graph.node_ids[overflowed.min()]!r} "
+                             "is not finite: its edge weights are too large")
+        per_layer[layer] = [_partial_sum(sub, K) for sub in subgraphs]
     per_layer.setflags(write=False)
 
     with np.errstate(invalid="ignore"):  # K == 1 has no transition: 0/0 -> nan
@@ -226,8 +231,7 @@ def breakdown_condition_holds(
     K = assignment.K
     mu = np.linalg.eigvals(np.asarray(breakdown, dtype=np.float64) / n)
 
-    agg = aggregate(graph, weights)
-    eigvals = smallest_laplacian_eigs(agg.laplacian(), K)
+    eigvals = smallest_laplacian_eigs(aggregate(graph, weights), K)
     lam = [float(v) / n for v in eigvals[1:K]]
 
     for m in mu:

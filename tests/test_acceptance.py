@@ -48,9 +48,9 @@ from mlsgc import (
     subspace_distance,
     subspace_perturbation_bound,
     vtest_from_row_sums,
-    within_cluster_laplacians,
 )
 from mlsgc.cli import main as cli_main
+from mlsgc.graph_core import induced_subgraph
 
 from .conftest import connected_random_multilayer
 
@@ -199,13 +199,12 @@ def test_embedding_centroids_collapse_above_the_transition(noise_sweep):
 def _layer_signal_levels(graph, truth, K: int) -> list[float]:
     """Per-layer signal level: min over clusters of S_{2:K}(within-cluster
     Laplacian) / n, from the realized (not idealized) subgraphs."""
-    laps = within_cluster_laplacians(graph, truth)
     return [
         min(
-            float(np.linalg.eigvalsh(laps[layer][k].toarray())[1:K].sum())
+            float(np.linalg.eigvalsh(induced_subgraph(mat, truth.members(k)).laplacian_dense())[1:K].sum())
             for k in range(truth.K)
         ) / graph.n
-        for layer in range(graph.L)
+        for mat in graph.layers
     ]
 
 

@@ -503,6 +503,23 @@ def test_mimosa_prints_the_disconnected_warning_as_one_line(tmp_path, capsys):
     assert err == "warning: aggregated graph is disconnected; clustering its largest component (6 of 8 nodes)\n"
 
 
+def test_mimosa_weights_at_an_overflowing_tau_keep_their_limit(tmp_path, capsys):
+    # two 8-node groups with edge weights near the float range, where
+    # 1 + tau * t overflows at tau = 1e5: layer 0 keeps its limit weight, and
+    # no overflow warning is printed
+    rows = []
+    for layer, weight, shift in ((0, "1e305", 0), (1, "1e303", 1)):
+        for base in (0, 8):
+            rows += [f"{layer}\tn{u + base:02d}\tn{v + base:02d}\t{weight}\n"
+                     for u in range(8) for v in range(u + 1, 8)]
+        rows += [f"{layer}\tn{i:02d}\tn{(i + shift) % 8 + 8:02d}\t{weight}\n" for i in range(0, 8, 2)]
+    code, out, err = run_cli(capsys, "mimosa", write(tmp_path / "heavy.tsv", "".join(rows)), "--max-k", "2")
+    assert (code, err) == (0, "")
+    w = {record["tau"]: record["w"] for record in parse_result(out)["trace"]}
+    assert w[1e5] == pytest.approx(w[1e4], rel=1e-12)
+    assert w[1e5][0] == pytest.approx(1 / 101, rel=1e-12)
+
+
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

@@ -16,21 +16,22 @@ from scipy import sparse
 
 from mlsgc import (
     AggregatedGraph,
+    ClusterAssignment,
     DuplicateEdgeError,
     EdgeListFormatError,
     LayerWeights,
     MultilayerGraph,
     aggregate,
     connected_components,
+    critical_bounds,
     degree_normalize,
     parse_label_file,
     parse_multilayer_edge_list,
     serialize_label_file,
     serialize_multilayer_edge_list,
-    within_cluster_laplacians,
 )
 from mlsgc import graph_core
-from mlsgc.graph_core import MAX_LAYERS
+from mlsgc.graph_core import MAX_LAYERS, induced_subgraph
 
 from .conftest import adjacency_from_edges, balanced_assignment, dense_graph, ids, random_multilayer
 
@@ -705,40 +706,61 @@ def test_zero_weight_layer_isolates_node():
     assert sorted(len(c) for c in comps) == [1, 2]
 
 
-# ------------------------------------------------- within-cluster Laplacians
+# ---------------------------------------------------- induced subgraphs
 
 
 def test_whole_graph_cluster_recovers_full_laplacian(triangle):
     asn = balanced_assignment([3])
-    wcl = within_cluster_laplacians(triangle, asn)
+    sub = induced_subgraph(triangle.layers[0], asn.members(0))
     agg = aggregate(triangle, LayerWeights.uniform(1))
-    assert np.allclose(wcl[0][0].toarray(), agg.laplacian_dense())
+    assert np.allclose(sub.laplacian_dense(), agg.laplacian_dense())
 
 
 def test_singleton_cluster_gives_zero_matrix(triangle):
     asn = balanced_assignment([1, 2])
-    wcl = within_cluster_laplacians(triangle, asn)
-    assert wcl[0][0].shape == (1, 1)
-    assert wcl[0][0].toarray() == pytest.approx(0.0)
+    sub = induced_subgraph(triangle.layers[0], asn.members(0))
+    assert sub.laplacian().shape == (1, 1)
+    assert sub.laplacian_dense() == pytest.approx(0.0)
 
 
 def test_within_cluster_laplacian_rows_sum_to_zero(barbell4):
     asn = balanced_assignment([2, 2])
-    wcl = within_cluster_laplacians(barbell4, asn)
     for k in range(2):
-        rows = np.asarray(wcl[0][k].sum(axis=1)).ravel()
+        lap = induced_subgraph(barbell4.layers[0], asn.members(k)).laplacian()
+        rows = np.asarray(lap.sum(axis=1)).ravel()
         assert np.allclose(rows, 0.0, atol=1e-12)
 
 
-def test_within_cluster_laplacians_name_the_node_whose_strength_overflows():
-    layer0 = adjacency_from_edges(4, [(0, 1, 1.0), (2, 3, 1e308), (2, 1, 1e308)])
-    g = dense_graph(ids(4), adjacency_from_edges(4, [(0, 1)]), layer0)
+def test_critical_bounds_name_the_node_whose_within_cluster_strength_overflows():
+    # three 6e307 edges at n002 in layer 1 sum past the float range; two do not
+    heavy = [(2, 1, 6e307), (2, 3, 6e307), (2, 4, 6e307)]
+    g = dense_graph(ids(6), adjacency_from_edges(6, [(0, 5), (1, 2), (3, 4)]), adjacency_from_edges(6, heavy))
+    together = ClusterAssignment(np.array([0, 1, 1, 1, 1, 0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        assert not np.isfinite(induced_subgraph(g.layers[1], together.members(1)).strength[1])
         with pytest.raises(ValueError, match=r"^layer 1: within-cluster strength of node 'n002' is not finite"):
-            within_cluster_laplacians(g, balanced_assignment([1, 3]))
-        # apart, the two heavy edges leave every within-cluster strength finite
-        within_cluster_laplacians(g, balanced_assignment([2, 2]))
+            critical_bounds(g, together, LayerWeights.uniform(2))
+        # apart, the heavy edges leave every within-cluster strength finite
+        critical_bounds(g, ClusterAssignment(np.array([0, 0, 1, 1, 0, 0])), LayerWeights.uniform(2))
+
+
+@given(edge_layers(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_dense_laplacian_is_byte_equal_to_the_sparse_one(case, data):
+    """Also in its signs: a missing edge is +0.0 in both forms, never -0.0."""
+    n, layers = case
+    g = MultilayerGraph.from_edges(ids(n), iter(layers))
+    nodes = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+    graphs = [induced_subgraph(mat, nodes) for mat in g.layers]
+    if g.L:
+        weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=g.L, max_size=g.L).filter(lambda w: sum(w) > 0))
+        try:
+            graphs.append(aggregate(g, LayerWeights(weights)))
+        except ValueError:  # a strength overflowed
+            pass
+    for sub in graphs:
+        assert sub.laplacian_dense().tobytes() == sub.laplacian().toarray().tobytes()
 
 
 # ---------------------------------------------------------- normalization

@@ -56,6 +56,19 @@ def test_adapt_weights_heavy_penalty_limit():
     assert out.values[1] == pytest.approx(1 / (1 + 1e6), rel=1e-6)
 
 
+def test_adapt_weights_at_an_overflowing_tau_keep_their_limit():
+    # 1 + tau * t overflows here, in one layer or in both; the weights keep
+    # the limit that tau = 1e4 reaches, without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        limit = adapt_weights(LayerWeights.uniform(2), np.array([1e305, 1e303]), 1e4)
+        out = adapt_weights(LayerWeights.uniform(2), np.array([1e305, 1e303]), 1e5)
+        assert out.values == pytest.approx(limit.values, rel=1e-12)
+        assert out.values == pytest.approx([1 / 101, 100 / 101], rel=1e-12)
+        both = adapt_weights(LayerWeights.uniform(2), np.array([1e304, 1e304]), 1e5)
+        assert both.values == pytest.approx([0.5, 0.5], rel=1e-12)
+
+
 def test_adapt_weights_prefers_cleaner_layer():
     out = adapt_weights(LayerWeights.uniform(2), np.array([0.05, 0.30]), 10.0)
     assert out.values[0] > out.values[1]

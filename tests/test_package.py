@@ -17,11 +17,10 @@ PUBLIC = {
         "AggregatedGraph", "DuplicateEdgeError", "EdgeListFormatError", "LabelFileError", "LayerWeights",
         "MultilayerGraph", "aggregate", "connected_components", "degree_normalize", "parse_label_file",
         "parse_multilayer_edge_list", "serialize_label_file", "serialize_multilayer_edge_list",
-        "within_cluster_laplacians",
     ],
     "metrics": [
-        "MetricReport", "conductance", "contingency_table", "f_measure", "metric_report", "nmi", "normalized_cut",
-        "rand_index",
+        "MetricReport", "conductance", "contingency_table", "detectability", "f_measure", "metric_report", "nmi",
+        "normalized_cut", "rand_index",
     ],
     "mimosa": [
         "MimosaConfig", "MimosaResult", "ReliableCandidate", "TraceRecord", "adapt_weights", "parse_result",
@@ -35,7 +34,7 @@ PUBLIC = {
         "ClusterAssignment", "ConvergenceError", "DisconnectedGraphError", "SpectralEmbedding", "kmeans",
         "multilayer_sgc", "partial_eigenvalue_sum", "smallest_eigenpairs", "subspace_distance",
     ],
-    "synth": ["GeneralRimParams", "TwoLayerCorrelatedParams", "detectability", "generate_rim", "generate_two_layer"],
+    "synth": ["GeneralRimParams", "TwoLayerCorrelatedParams", "generate_rim", "generate_two_layer"],
     "theory": [
         "ClusterTooSmallError", "CriticalWeightSolution", "PhaseBounds", "breakdown_condition_holds",
         "breakdown_matrix", "cluster_partial_sums", "critical_bounds", "critical_weight_w1",
@@ -52,9 +51,16 @@ def test_importing_the_package_loads_no_submodule_numpy_or_scipy():
     assert out == "[]\n"
 
 
+def test_generators_and_selection_load_no_metrics_or_optimizer():
+    code = "import sys, mlsgc.synth, mlsgc.mimosa; print(sorted({'scipy.optimize', 'mlsgc.metrics'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": SRC}, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "[]\n"
+
+
 def test_all_lists_every_public_name_once():
     names = [name for module_names in PUBLIC.values() for name in module_names]
-    assert len(names) == 66
+    assert len(names) == 65
     assert sorted(mlsgc.__all__) == sorted(names)
     assert len(set(mlsgc.__all__)) == len(mlsgc.__all__)
 

@@ -18,6 +18,7 @@ from mlsgc import (
     SpectralEmbedding,
     TwoLayerCorrelatedParams,
     aggregate,
+    cluster_partial_sums,
     connected_components,
     detectability,
     generate_two_layer,
@@ -30,6 +31,7 @@ from mlsgc import (
 
 from .conftest import (
     adjacency_from_edges,
+    balanced_assignment,
     connected_random_multilayer,
     dense_graph,
     ids,
@@ -164,6 +166,20 @@ def test_arpack_branch_matches_dense_oracle(arpack_graph, monkeypatch):
     assert calls == [K + 1]
     got = np.append(emb.eigenvalues, emb.lambda_kplus1)
     assert np.max(np.abs(got - dense[1 : K + 1])) <= 1e-8 * dense[K]
+
+
+def test_graphs_up_to_the_dense_cutoff_never_build_a_sparse_laplacian(monkeypatch):
+    g = aggregate(connected_random_multilayer(np.random.default_rng(5), 512, 2, density=0.02),
+                  LayerWeights.uniform(2))
+    dense = dense_laplacian_spectrum(g)
+
+    def no_sparse(self):
+        raise AssertionError("a sparse Laplacian was built for a dense solve")
+
+    monkeypatch.setattr(graph_core.AggregatedGraph, "laplacian", no_sparse)
+    emb = smallest_eigenpairs(g, 3)
+    assert emb.eigenvalues == pytest.approx(dense[1:3], abs=1e-8)
+    assert cluster_partial_sums(g, balanced_assignment([256, 256])).shape == (2,)
 
 
 def test_arpack_branch_embedding_invariants(arpack_graph):

@@ -255,11 +255,15 @@ def _ring(size, weight=1.0):
     (_ring(5), r"within_graphs\[0\]\[1\]: expected shape \(3, 3\) for a cluster of 3 nodes, got \(5, 5\)"),
     (_ring(2), r"within_graphs\[0\]\[1\]: expected shape \(3, 3\) for a cluster of 3 nodes, got \(2, 2\)"),
     (np.triu(_ring(3)), r"within_graphs\[0\]\[1\]: weight matrix must be exactly symmetric"),
-], ids=["too-large", "too-small", "asymmetric"])
+    (_ring(3, -1.0), r"within_graphs\[0\]\[1\]: weights must be finite and nonnegative"),
+    (_ring(3, np.nan), r"within_graphs\[0\]\[1\]: weights must be finite and nonnegative"),
+    (_ring(3, np.inf), r"within_graphs\[0\]\[1\]: weights must be finite and nonnegative"),
+], ids=["too-large", "too-small", "asymmetric", "negative", "nan", "inf"])
 def test_rim_rejects_a_within_block_that_does_not_fit_its_cluster(block, message):
     # a too-large block used to spill edges into the next cluster, a too-small
     # one left nodes without within-cluster edges, and an asymmetric one was
-    # read from its upper triangle
+    # read from its upper triangle; a weight that is negative, nan or
+    # infinite is named as such, before the symmetry check
     with pytest.raises(ValueError, match=message):
         GeneralRimParams(cluster_sizes=(4, 3, 5), n_layers=1,
                          within_graphs=((_ring(4), block, _ring(5)),), noise_probs=0.2)

@@ -106,6 +106,12 @@ def test_cluster_too_small_raises():
         critical_bounds(g, asn, LayerWeights.uniform(1))
 
 
+def test_critical_bounds_reject_an_assignment_longer_than_the_graph():
+    g = two_cliques_graph(10)
+    with pytest.raises(ValueError, match=r"^assignment does not cover the node set$"):
+        critical_bounds(g, balanced_assignment([10, 11]), LayerWeights.uniform(1))
+
+
 def test_bounds_one_homogeneous_in_within_weights():
     g = two_cliques_graph(5)
     asn = balanced_assignment([5, 5])
