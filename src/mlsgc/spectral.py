@@ -292,55 +292,48 @@ def _kmeans_plusplus_init(rows: np.ndarray, K: int, rng: np.random.Generator) ->
     return centers
 
 
-def _assign(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest-center labels; ties go to the lowest center index."""
-    d2 = (
-        np.sum(rows**2, axis=1)[:, None]
-        - 2.0 * rows @ centers.T
-        + np.sum(centers**2, axis=1)[None, :]
-    )
-    return np.argmin(d2, axis=1)
+def _counts(labels: np.ndarray, K: int) -> np.ndarray:
+    """Cluster sizes per restart: ``(m, n)`` labels -> ``(m, K)`` counts."""
+    m = labels.shape[0]
+    return np.bincount((labels + K * np.arange(m)[:, None]).ravel(), minlength=m * K).reshape(m, K)
 
 
-def _centers_from_labels(rows: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
-    centers = np.zeros((K, rows.shape[1]))
-    counts = np.bincount(labels, minlength=K).astype(np.float64)
-    np.add.at(centers, labels, rows)
-    nonzero = counts > 0
-    centers[nonzero] /= counts[nonzero, None]
-    return centers
+def _centers(rows: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
+    """Cluster means per restart, ``(m, K, d)``; an empty cluster's is 0.
+
+    Sums add rows in node order, so a restart's bits do not depend on the batch.
+    """
+    m, n = labels.shape
+    d = rows.shape[1]
+    bins = (labels + K * np.arange(m)[:, None])[:, :, None] * d + np.arange(d)
+    sums = np.bincount(bins.ravel(), weights=np.broadcast_to(rows, (m, n, d)).ravel(), minlength=m * K * d)
+    return sums.reshape(m, K, d) / np.maximum(_counts(labels, K), 1)[:, :, None]
+
+
+def _assign(twice_rows: np.ndarray, sq_rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Nearest-center labels per restart; ties go to the lowest center index."""
+    d2 = sq_rows[:, None] - twice_rows @ centers.transpose(0, 2, 1) + np.sum(centers**2, axis=2)[:, None, :]
+    return np.argmin(d2, axis=2)
 
 
 def _repair_empty(rows: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
-    """Fill each empty cluster with the farthest point a size->=2 cluster can spare."""
-    counts = np.bincount(labels, minlength=K)
-    empty = np.flatnonzero(counts == 0)
-    if empty.size == 0:
-        return labels
-    labels = labels.copy()
-    for k in empty:
-        centers = _centers_from_labels(rows, labels, K)
-        dist = np.sum((rows - centers[labels]) ** 2, axis=1)
-        dist[counts[labels] < 2] = -np.inf
-        donor = int(np.argmax(dist))
-        counts[labels[donor]] -= 1
-        labels[donor] = k
-        counts[k] = 1
+    """Fill each empty cluster with the farthest point a size->=2 cluster can spare.
+
+    ``labels`` holds one row per restart; only restarts with an empty
+    cluster are touched, in place.
+    """
+    counts = _counts(labels, K)
+    for r in np.flatnonzero(np.any(counts == 0, axis=1)):
+        own, count = labels[r], counts[r]
+        for k in np.flatnonzero(count == 0):
+            centers = _centers(rows, own[None], K)[0]
+            dist = np.sum((rows - centers[own]) ** 2, axis=1)
+            dist[count[own] < 2] = -np.inf
+            donor = int(np.argmax(dist))
+            count[own[donor]] -= 1
+            own[donor] = k
+            count[k] = 1
     return labels
-
-
-def _lloyd(rows: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarray, float]:
-    K = centers.shape[0]
-    labels = _repair_empty(rows, _assign(rows, centers), K)
-    for _ in range(max_iter):
-        centers = _centers_from_labels(rows, labels, K)
-        new_labels = _repair_empty(rows, _assign(rows, centers), K)
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-    centers = _centers_from_labels(rows, labels, K)
-    inertia = float(np.sum((rows - centers[labels]) ** 2))
-    return labels, inertia
 
 
 def kmeans(
@@ -353,32 +346,45 @@ def kmeans(
 ) -> ClusterAssignment:
     """Seeded K-means with restarts on embedding rows.
 
-    Runs ``restarts`` independent K-means++ seedings from one seeded
-    generator (so the whole call is a pure function of its arguments) and
-    keeps the result with the strictly lowest within-cluster sum of squares;
-    ties keep the earliest restart.  Empty clusters during Lloyd iterations
-    are repaired by reseeding them with the point farthest from its current
-    centroid.
+    Draws ``restarts`` K-means++ seedings in turn from one seeded generator
+    (so the whole call is a pure function of its arguments), then runs their
+    Lloyd iterations together; a restart stops once its labels stop changing
+    or after ``max_iter`` steps.  Keeps the result with the strictly lowest
+    within-cluster sum of squares; ties keep the earliest restart.  Empty
+    clusters during Lloyd iterations are repaired by reseeding them with the
+    point farthest from its current centroid.
 
     Raises:
-        ValueError: fewer rows than clusters.
+        ValueError: ``rows`` is not a 2-D array or holds a non-finite value,
+            ``K < 1``, ``restarts < 1``, ``max_iter < 0``, or there are
+            fewer rows than clusters.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError("rows must be a 2-D array")
-    if K < 1 or rows.shape[0] < K:
+    for name, value, least in (("K", K, 1), ("restarts", restarts, 1), ("max_iter", max_iter, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    if rows.shape[0] < K:
         raise ValueError(f"need at least K={K} rows, got {rows.shape[0]}")
+    if not np.isfinite(rows).all():
+        raise ValueError("rows must be finite")
     rng = np.random.default_rng(seed)
-    best_labels: np.ndarray | None = None
-    best_inertia = np.inf
-    for _ in range(restarts):
-        centers = _kmeans_plusplus_init(rows, K, rng)
-        labels, inertia = _lloyd(rows, centers, max_iter)
-        if inertia < best_inertia:
-            best_inertia = inertia
-            best_labels = labels
-    assert best_labels is not None
-    return ClusterAssignment(best_labels)
+    centers = np.stack([_kmeans_plusplus_init(rows, K, rng) for _ in range(restarts)])
+    twice_rows, sq_rows = 2.0 * rows, np.sum(rows**2, axis=1)
+    labels = _repair_empty(rows, _assign(twice_rows, sq_rows, centers), K)
+    live = np.arange(restarts)
+    for _ in range(max_iter):
+        new_labels = _repair_empty(rows, _assign(twice_rows, sq_rows, _centers(rows, labels[live], K)), K)
+        moved = np.any(new_labels != labels[live], axis=1)
+        live = live[moved]
+        if live.size == 0:
+            break
+        labels[live] = new_labels[moved]
+    fitted = _centers(rows, labels, K)[np.arange(restarts)[:, None], labels]
+    # one contiguous n*d row per restart: the summation order of np.sum over one (n, d) array
+    inertia = np.sum(((rows - fitted) ** 2).reshape(restarts, rows.size), axis=1)
+    return ClusterAssignment(labels[int(np.argmin(inertia))])
 
 
 def multilayer_sgc(

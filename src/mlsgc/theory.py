@@ -96,8 +96,11 @@ def cluster_partial_sums(agg: AggregatedGraph, assignment: ClusterAssignment) ->
     within-cluster subgraph of ``agg``.
 
     Raises:
+        ValueError: the assignment does not cover the node set.
         ClusterTooSmallError: some cluster has fewer than K nodes.
     """
+    if assignment.n != agg.n:
+        raise ValueError("assignment does not cover the node set")
     K = assignment.K
     if assignment.n_min < K:
         raise ClusterTooSmallError(
@@ -130,8 +133,6 @@ def critical_bounds(
             (naming the layer and its first such node).
         ClusterTooSmallError: some cluster has fewer than K nodes.
     """
-    if assignment.n != graph.n:
-        raise ValueError("assignment does not cover the node set")
     sums = cluster_partial_sums(aggregate(graph, weights), assignment)
     K = assignment.K
     n_min, n_max = assignment.n_min, assignment.n_max
@@ -226,8 +227,13 @@ def breakdown_condition_holds(
     occurs (comparison at relative tolerance 1e-6).  The breakdown matrix
     may be nonsymmetric; complex eigenvalues never coincide with the real
     Laplacian spectrum unless their imaginary part is negligible.
+
+    Raises:
+        ValueError: the assignment does not cover the node set.
     """
     n = assignment.n
+    if n != graph.n:
+        raise ValueError("assignment does not cover the node set")
     K = assignment.K
     mu = np.linalg.eigvals(np.asarray(breakdown, dtype=np.float64) / n)
 

@@ -298,6 +298,158 @@ def test_kmeans_deterministic_and_restarts_never_worse():
     ) + 1e-12
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"K": 0}, r"^K must be at least 1, got 0$"),
+    ({"restarts": 0}, r"^restarts must be at least 1, got 0$"),
+    ({"restarts": -3}, r"^restarts must be at least 1, got -3$"),
+    ({"max_iter": -1}, r"^max_iter must be at least 0, got -1$"),
+], ids=["K", "restarts-zero", "restarts-negative", "max_iter"])
+def test_kmeans_names_an_out_of_range_argument(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        kmeans(np.zeros((4, 2)), **{"K": 2, **kwargs})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_kmeans_rejects_non_finite_rows(value):
+    rows = np.arange(8.0).reshape(4, 2)
+    rows[2, 1] = value
+    with pytest.raises(ValueError, match=r"^rows must be finite$"):
+        kmeans(rows, 2)
+
+
+# The sequential K-means that the batched one replaced, verbatim except for
+# the name of its entry point: the batched restarts must give the same labels.
+
+
+def _kmeans_plusplus_init(rows: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+    """K-means++ seeding: D^2-weighted incremental center choice."""
+    n = rows.shape[0]
+    centers = np.empty((K, rows.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = rows[first]
+    d2 = np.sum((rows - centers[0]) ** 2, axis=1)
+    for k in range(1, K):
+        total = d2.sum()
+        if total <= 0.0:
+            choice = int(rng.integers(n))
+        else:
+            choice = int(rng.choice(n, p=d2 / total))
+        centers[k] = rows[choice]
+        d2 = np.minimum(d2, np.sum((rows - centers[k]) ** 2, axis=1))
+    return centers
+
+
+def _assign(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Nearest-center labels; ties go to the lowest center index."""
+    d2 = (
+        np.sum(rows**2, axis=1)[:, None]
+        - 2.0 * rows @ centers.T
+        + np.sum(centers**2, axis=1)[None, :]
+    )
+    return np.argmin(d2, axis=1)
+
+
+def _centers_from_labels(rows: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
+    centers = np.zeros((K, rows.shape[1]))
+    counts = np.bincount(labels, minlength=K).astype(np.float64)
+    np.add.at(centers, labels, rows)
+    nonzero = counts > 0
+    centers[nonzero] /= counts[nonzero, None]
+    return centers
+
+
+def _repair_empty(rows: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
+    """Fill each empty cluster with the farthest point a size->=2 cluster can spare."""
+    counts = np.bincount(labels, minlength=K)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size == 0:
+        return labels
+    labels = labels.copy()
+    for k in empty:
+        centers = _centers_from_labels(rows, labels, K)
+        dist = np.sum((rows - centers[labels]) ** 2, axis=1)
+        dist[counts[labels] < 2] = -np.inf
+        donor = int(np.argmax(dist))
+        counts[labels[donor]] -= 1
+        labels[donor] = k
+        counts[k] = 1
+    return labels
+
+
+def _lloyd(rows: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarray, float]:
+    K = centers.shape[0]
+    labels = _repair_empty(rows, _assign(rows, centers), K)
+    for _ in range(max_iter):
+        centers = _centers_from_labels(rows, labels, K)
+        new_labels = _repair_empty(rows, _assign(rows, centers), K)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    centers = _centers_from_labels(rows, labels, K)
+    inertia = float(np.sum((rows - centers[labels]) ** 2))
+    return labels, inertia
+
+
+def reference_kmeans(
+    rows: np.ndarray,
+    K: int,
+    seed: int = 0,
+    *,
+    restarts: int = 20,
+    max_iter: int = 300,
+) -> ClusterAssignment:
+    """Seeded K-means with restarts on embedding rows.
+
+    Runs ``restarts`` independent K-means++ seedings from one seeded
+    generator (so the whole call is a pure function of its arguments) and
+    keeps the result with the strictly lowest within-cluster sum of squares;
+    ties keep the earliest restart.  Empty clusters during Lloyd iterations
+    are repaired by reseeding them with the point farthest from its current
+    centroid.
+
+    Raises:
+        ValueError: fewer rows than clusters.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValueError("rows must be a 2-D array")
+    if K < 1 or rows.shape[0] < K:
+        raise ValueError(f"need at least K={K} rows, got {rows.shape[0]}")
+    rng = np.random.default_rng(seed)
+    best_labels: np.ndarray | None = None
+    best_inertia = np.inf
+    for _ in range(restarts):
+        centers = _kmeans_plusplus_init(rows, K, rng)
+        labels, inertia = _lloyd(rows, centers, max_iter)
+        if inertia < best_inertia:
+            best_inertia = inertia
+            best_labels = labels
+    assert best_labels is not None
+    return ClusterAssignment(best_labels)
+
+
+@st.composite
+def kmeans_problems(draw):
+    """Rows (1-80 by 0-6), often with repeated rows, and a K up to the row count."""
+    n, d = draw(st.integers(1, 80)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((n, d))
+    if draw(st.booleans()):  # few distinct rows leave clusters empty
+        rows = rows[rng.integers(draw(st.integers(1, n)), size=n)]
+    if draw(st.booleans()):  # small integers tie distances
+        rows = np.round(2.0 * rows)
+    return rows, draw(st.integers(1, n))
+
+
+@given(problem=kmeans_problems(), seed=st.integers(0, 2**32 - 1), restarts=st.integers(1, 25),
+       max_iter=st.sampled_from([0, 1, 2, 300]))
+@settings(max_examples=50, deadline=None)
+def test_batched_kmeans_matches_the_sequential_reference(problem, seed, restarts, max_iter):
+    rows, K = problem
+    got = kmeans(rows, K, seed, restarts=restarts, max_iter=max_iter)
+    assert np.array_equal(got.labels, reference_kmeans(rows, K, seed, restarts=restarts, max_iter=max_iter).labels)
+
+
 # ---------------------------------------------------------------- pipeline
 
 

@@ -112,6 +112,25 @@ def test_critical_bounds_reject_an_assignment_longer_than_the_graph():
         critical_bounds(g, balanced_assignment([10, 11]), LayerWeights.uniform(1))
 
 
+def complete_graph(n):
+    return dense_graph(ids(n), np.ones((n, n)) - np.eye(n))
+
+
+@pytest.mark.parametrize("sizes", [[2, 2], [3, 4], [4, 5]], ids=["4-nodes", "7-nodes", "9-nodes"])
+def test_cluster_partial_sums_reject_an_assignment_that_does_not_cover_the_graph(sizes):
+    agg = aggregate(complete_graph(6), LayerWeights.uniform(1))
+    with pytest.raises(ValueError, match=r"^assignment does not cover the node set$"):
+        cluster_partial_sums(agg, balanced_assignment(sizes))
+
+
+@pytest.mark.parametrize("sizes", [[2, 2], [3, 4], [4, 5]], ids=["4-nodes", "7-nodes", "9-nodes"])
+def test_breakdown_condition_rejects_an_assignment_that_does_not_cover_the_graph(sizes):
+    g = complete_graph(6)
+    assert breakdown_condition_holds(np.array([[1.0]]), g, balanced_assignment([3, 3]), LayerWeights.uniform(1))
+    with pytest.raises(ValueError, match=r"^assignment does not cover the node set$"):
+        breakdown_condition_holds(np.array([[1.0]]), g, balanced_assignment(sizes), LayerWeights.uniform(1))
+
+
 def test_bounds_one_homogeneous_in_within_weights():
     g = two_cliques_graph(5)
     asn = balanced_assignment([5, 5])
