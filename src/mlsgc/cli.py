@@ -86,11 +86,15 @@ def _read(config: dict[str, str], key: str, what: str, convert=str, default=None
         if default is None:
             raise ValueError(f"{what}: missing required key {key!r}")
         return default
+    return _convert(config[key], f"{what}: key {key!r}", convert)
+
+
+def _convert(text: str, what: str, convert=float):
+    """``convert(text)`` (``str``, ``int`` or ``float``)."""
     try:
-        return convert(config[key])
+        return convert(text)
     except ValueError:
-        kind = "an integer" if convert is int else "a number"
-        raise ValueError(f"{what}: key {key!r} is not {kind}: {config[key]!r}") from None
+        raise ValueError(f"{what} is not {'an integer' if convert is int else 'a number'}: {text!r}") from None
 
 
 def _at_least(value: int, minimum: int, what: str) -> int:
@@ -111,8 +115,9 @@ def _number_list(text: str, what: str, convert=float) -> tuple:
     return values
 
 
-def _scalar_or_all(values: tuple[float, ...]) -> float | tuple[float, ...]:
-    """A one-element list as its scalar (applies to every layer), else the list."""
+def _scalar_or_list(text: str, what: str) -> float | tuple[float, ...]:
+    """Comma-separated numbers; one number as its scalar (applies to every layer)."""
+    values = _number_list(text, what)
     return values[0] if len(values) == 1 else values
 
 
@@ -184,14 +189,13 @@ def _generator_from_config(config: dict[str, str]):
         rows = [_number_list(row, "within_probs") for row in _read(config, "within_probs", "generate").split(";")]
         if len({len(row) for row in rows}) > 1:
             raise ValueError(f"within_probs: rows have unequal lengths {[len(row) for row in rows]}")
-        noise = _number_list(_read(config, "noise_probs", "generate"), "noise_probs")
         means = config.get("noise_weight_means")
         params = GeneralRimParams(
             cluster_sizes=sizes,
             n_layers=n_layers,
             within_probs=np.array(rows),
-            noise_probs=_scalar_or_all(noise),
-            noise_weight_means=1.0 if means is None else _scalar_or_all(_number_list(means, "noise_weight_means")),
+            noise_probs=_scalar_or_list(_read(config, "noise_probs", "generate"), "noise_probs"),
+            noise_weight_means=1.0 if means is None else _scalar_or_list(means, "noise_weight_means"),
             weight_distribution=config.get("weight_distribution", "constant"),
             seed=seed,
         )
@@ -240,26 +244,26 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _mimosa_config_from_args(args: argparse.Namespace, graph: MultilayerGraph) -> MimosaConfig:
-    kwargs: dict = {"seed": args.seed}
-    if args.w_ini is not None:
-        kwargs["w_ini"] = _weights_or_uniform(args.w_ini, graph.L, "--w-ini")
-    if args.tau_set is not None:
-        kwargs["tau_set"] = _number_list(args.tau_set, "--tau-set")
-    if args.eta is not None:
-        kwargs["eta"] = args.eta
-    if args.alpha is not None:
-        kwargs["alpha"] = _scalar_or_all(_number_list(args.alpha, "--alpha"))
-    if args.alpha_prime is not None:
-        kwargs["alpha_prime"] = _scalar_or_all(_number_list(args.alpha_prime, "--alpha-prime"))
-    if args.max_k is not None:
-        kwargs["max_k"] = args.max_k
-    return MimosaConfig(**kwargs)
+# MIMOSA's settings and their readers.  The keys are the ``sweep`` spec keys
+# and also the argparse ``dest`` names of the ``mimosa`` flags.
+_MIMOSA_SETTINGS = {"tau_set": _number_list, "eta": _convert, "alpha": _scalar_or_list,
+                    "alpha_prime": _scalar_or_list, "max_k": lambda text, what: _convert(text, what, int)}
+
+
+def _mimosa_config(settings: dict, flags: bool, **fields) -> MimosaConfig:
+    """``MimosaConfig(**fields)`` with every MIMOSA setting that ``settings``
+    holds (not None): the ``mimosa`` command's parsed flags (``flags``, so
+    errors name ``--max-k``) or a ``sweep`` spec (errors name ``max_k``)."""
+    for key, read in _MIMOSA_SETTINGS.items():
+        if settings.get(key) is not None:
+            fields[key] = read(settings[key], "--" + key.replace("_", "-") if flags else key)
+    return MimosaConfig(**fields)
 
 
 def _cmd_mimosa(args: argparse.Namespace) -> int:
     graph = _load_graph(args.edges, args.normalize)
-    config = _mimosa_config_from_args(args, graph)
+    w_ini = _weights_or_uniform(args.w_ini, graph.L, "--w-ini")
+    config = _mimosa_config(vars(args), True, w_ini=w_ini, seed=_at_least(args.seed, 0, "--seed"))
     result = run_mimosa(graph, config)
     sys.stdout.write(serialize_result(result))
     return 0 if result.status == "found" else 3
@@ -318,8 +322,8 @@ def _sweep_trial(
 ) -> tuple[float, ...]:
     """Sample one graph (seeded by ``params.seed``) and return its statistics
     in ``_SWEEP_COLUMNS`` order: SGC with ``k`` clusters under ``weights``, or
-    MIMOSA under ``mimosa``.  All are nan when MIMOSA declines or SGC's
-    aggregation is disconnected; the latter is warned about."""
+    MIMOSA under ``mimosa`` from ``weights``.  All are nan when MIMOSA declines
+    or SGC's aggregation is disconnected; the latter is warned about."""
     graph, truth = generate_two_layer(params)
     if mimosa is None:
         try:
@@ -329,7 +333,7 @@ def _sweep_trial(
             return (float("nan"),) * len(_SWEEP_COLUMNS)
         s2k_over_n = partial_eigenvalue_sum(embedding) / graph.n
     else:
-        best = run_mimosa(graph, replace(mimosa, seed=params.seed)).selected
+        best = run_mimosa(graph, replace(mimosa, w_ini=weights, seed=params.seed)).selected
         if best is None:
             return (float("nan"),) * len(_SWEEP_COLUMNS)
         found, weights = best.assignment, best.w
@@ -367,17 +371,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if "w1" in config and "w" not in config and "w1" not in axis_names:
         fixed["w1"] = _read(config, "w1", "sweep", float)
     base_w = _weights_or_uniform(config.get("w"), 2, "w")
-    k = mimosa = None
-    if mode == "sgc":
-        k = _read(config, "k", "sweep", int)
-    else:
-        mim_kwargs: dict = {}
-        for key, convert in (("eta", float), ("alpha", float), ("alpha_prime", float), ("max_k", int)):
-            if key in config:
-                mim_kwargs[key] = _read(config, key, "sweep", convert)
-        if "tau_set" in config:
-            mim_kwargs["tau_set"] = _number_list(config["tau_set"], "tau_set")
-        mimosa = MimosaConfig(**mim_kwargs)
+    k = _read(config, "k", "sweep", int) if mode == "sgc" else None
+    mimosa = _mimosa_config(config, False) if mode == "mimosa" else None
     grid = []
     for values in itertools.product(*(values for _, values in axes)):
         point = {**fixed, **{name: float(v) for name, v in zip(axis_names, values)}}
@@ -534,11 +529,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("edges", help="edge-list file")
     p.add_argument("--w-ini", default=None, help="initial layer weights (comma list; default uniform)")
     p.add_argument("--tau-set", default=None, help="adaptation strengths (comma list)")
-    p.add_argument("--eta", type=float, default=None, help="homogeneity-test level")
+    p.add_argument("--eta", default=None, help="homogeneity-test level")
     p.add_argument("--alpha", default=None, help="identical-noise test level (scalar or per-layer comma list)")
     p.add_argument("--alpha-prime", default=None, help="threshold test level (scalar or per-layer comma list)")
-    p.add_argument("--max-k", type=int, default=None,
-                   help="largest cluster count to try (default n//2); K also stops at isqrt of the component size")
+    p.add_argument("--max-k", default=None,
+                   help="largest cluster count to try; K also stops at isqrt of the component size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--normalize", action="store_true", help="degree-normalize unweighted layers first")
     p.set_defaults(func=_cmd_mimosa)

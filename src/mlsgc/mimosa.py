@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph_core import AggregatedGraph, LayerWeights, MultilayerGraph, aggregate, connected_components
+from .graph_core import AggregatedGraph, LayerWeights, MultilayerGraph, aggregate, connected_components, induced_subgraph
 from .noise_stats import (
     NoiseEstimates,
     anscombe_nonidentical_test,
@@ -73,9 +73,9 @@ class MimosaConfig:
         alpha: identical-noise test level, one scalar for every layer or a
             per-layer sequence.
         alpha_prime: non-identical threshold test level, scalar or per-layer.
-        max_k: largest cluster count to try; None means ``n // 2``.  K also
-            stops at ``isqrt`` of the clustered component's size, since a
-            larger K cannot give every cluster K nodes.
+        max_k: largest cluster count to try; None sets no cap of its own.
+            K always stops at ``isqrt`` of the clustered component's size,
+            since a larger K cannot give every cluster K nodes.
         seed: root seed; the whole run is a pure function of (graph, config).
     """
 
@@ -289,7 +289,8 @@ def _component(graph: MultilayerGraph, w: LayerWeights) -> _Component:
     sub = MultilayerGraph.from_matrices(
         tuple(graph.node_ids[i] for i in nodes), [mat[nodes][:, nodes] for mat in graph.layers]
     )
-    return _Component(aggregate(sub, w), sub, nodes, tuple(c for i, c in enumerate(comps) if i != main))
+    others = tuple(c for i, c in enumerate(comps) if i != main)
+    return _Component(induced_subgraph(agg.weight_matrix, nodes), sub, nodes, others)
 
 
 def _vtest_scan(est: NoiseEstimates, assignment: ClusterAssignment) -> tuple[float, tuple[int, int, int]]:
@@ -336,12 +337,11 @@ def run_mimosa(graph: MultilayerGraph, config: MimosaConfig | None = None) -> Mi
     if len(w_ini) != graph.L:
         raise ValueError(f"w_ini has {len(w_ini)} entries for {graph.L} layers")
     levels = (_per_layer(config.alpha, graph.L, "alpha"), _per_layer(config.alpha_prime, graph.L, "alpha_prime"))
-    max_k = config.max_k if config.max_k is not None else n // 2
 
     trace: list[TraceRecord] = []
     reliable: list[ReliableCandidate] = []
     try:
-        for record, candidate in _steps(graph, config, w_ini, levels, max_k):
+        for record, candidate in _steps(graph, config, w_ini, levels):
             trace.append(record)
             if candidate is not None:
                 reliable.append(candidate)
@@ -361,9 +361,7 @@ _Levels = tuple[tuple[float, ...], tuple[float, ...]]  # per-layer (alpha, alpha
 _Step = tuple[TraceRecord, ReliableCandidate | None]
 
 
-def _steps(
-    graph: MultilayerGraph, config: MimosaConfig, w_ini: LayerWeights, levels: _Levels, max_k: int
-) -> Iterator[_Step]:
+def _steps(graph: MultilayerGraph, config: MimosaConfig, w_ini: LayerWeights, levels: _Levels) -> Iterator[_Step]:
     """Yield each step's trace record and reliable candidate, in trace order.
 
     Per K: the init step, then one step per tau; stops after the first K
@@ -381,7 +379,7 @@ def _steps(
     # K clusters of at least K nodes need K^2 nodes, and no tau's component is
     # larger than this one: adapt_weights never makes a zero layer weight
     # positive.  So no K above isqrt(component size) can be reliable.
-    for K in range(2, min(max_k, math.isqrt(comp_ini.graph.n)) + 1):
+    for K in range(2, min(config.max_k or math.inf, math.isqrt(comp_ini.graph.n)) + 1):
         # The init step clusters with the initial weights; its embedding is kept for this K.
         emb_ini = _embed(comp_ini, K, seed, 0)
         asg_ini = _cluster(emb_ini, K, seed, 0)

@@ -349,10 +349,11 @@ def kmeans(
     Draws ``restarts`` K-means++ seedings in turn from one seeded generator
     (so the whole call is a pure function of its arguments), then runs their
     Lloyd iterations together; a restart stops once its labels stop changing
-    or after ``max_iter`` steps.  Keeps the result with the strictly lowest
-    within-cluster sum of squares; ties keep the earliest restart.  Empty
-    clusters during Lloyd iterations are repaired by reseeding them with the
-    point farthest from its current centroid.
+    or return to those of two steps back, or after ``max_iter`` steps.  Keeps
+    the result with the strictly lowest within-cluster sum of squares; ties
+    keep the earliest restart.  Empty clusters during Lloyd iterations are
+    repaired by reseeding them with the point farthest from its current
+    centroid.
 
     Raises:
         ValueError: ``rows`` is not a 2-D array or holds a non-finite value,
@@ -374,12 +375,16 @@ def kmeans(
     twice_rows, sq_rows = 2.0 * rows, np.sum(rows**2, axis=1)
     labels = _repair_empty(rows, _assign(twice_rows, sq_rows, centers), K)
     live = np.arange(restarts)
+    before = labels  # the live restarts' labels one step earlier
     for _ in range(max_iter):
-        new_labels = _repair_empty(rows, _assign(twice_rows, sq_rows, _centers(rows, labels[live], K)), K)
-        moved = np.any(new_labels != labels[live], axis=1)
+        current = labels[live]
+        new_labels = _repair_empty(rows, _assign(twice_rows, sq_rows, _centers(rows, current, K)), K)
+        # a step maps labels to labels, so a return to the labels of two steps back repeats forever
+        moved = (new_labels != current).any(axis=1) & (new_labels != before).any(axis=1)
         live = live[moved]
         if live.size == 0:
             break
+        before = current[moved]
         labels[live] = new_labels[moved]
     fitted = _centers(rows, labels, K)[np.arange(restarts)[:, None], labels]
     # one contiguous n*d row per restart: the summation order of np.sum over one (n, d) array

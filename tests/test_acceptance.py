@@ -531,6 +531,23 @@ trials = 2
 seed = 11
 """
 
+# mode = mimosa from the base weights w, with per-layer alpha levels
+MIMOSA_SWEEP_SPEC = """\
+axis = p1:0.02:0.04:0.02
+p2 = 0.03
+cluster_sizes = 15,15
+q11 = 0.6
+q10 = 0.2
+q01 = 0.1
+q00 = 0.1
+mode = mimosa
+max_k = 4
+w = 0.9,0.1
+alpha = 0.05,0.01
+trials = 2
+seed = 5
+"""
+
 
 def _run_cli(capsys, *argv):
     code = cli_main(list(argv))
@@ -549,6 +566,8 @@ def test_cli_commands_are_byte_identical_across_reruns(tmp_path, capsys):
         params.write_text(GENERATE_PARAMS, encoding="utf-8")
         spec = root / "sweep.cfg"
         spec.write_text(SWEEP_SPEC, encoding="utf-8")
+        mimosa_spec = root / "mimosa-sweep.cfg"
+        mimosa_spec.write_text(MIMOSA_SWEEP_SPEC, encoding="utf-8")
         edges, labels = root / "graph.tsv", root / "truth.labels"
 
         transcript = {}
@@ -561,6 +580,7 @@ def test_cli_commands_are_byte_identical_across_reruns(tmp_path, capsys):
             "cluster": ("cluster", str(edges), "--k", "3"),
             "mimosa": ("mimosa", str(edges), "--seed", "0", "--tau-set", "0,1,100"),
             "sweep": ("sweep", str(spec)),
+            "sweep-mimosa": ("sweep", str(mimosa_spec)),
             "evaluate": ("evaluate", str(edges), str(labels), "--truth", str(labels)),
             "theory-check": ("theory-check", str(edges), str(labels)),
         }.items():

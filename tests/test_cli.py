@@ -24,8 +24,12 @@ import mlsgc.spectral
 
 from mlsgc import (
     ClusterAssignment,
+    LayerWeights,
+    MimosaConfig,
     TwoLayerCorrelatedParams,
     conductance,
+    critical_bounds,
+    detectability,
     f_measure,
     generate_two_layer,
     nmi,
@@ -33,6 +37,7 @@ from mlsgc import (
     parse_label_file,
     parse_result,
     rand_index,
+    run_mimosa,
     serialize_label_file,
     serialize_multilayer_edge_list,
 )
@@ -491,6 +496,14 @@ def test_mimosa_deterministic_output(generated, capsys):
     assert docs[0] == docs[1]
 
 
+def test_mimosa_names_a_negative_seed(generated, capsys):
+    # used to print MimosaConfig's "seed must be nonnegative"
+    edges, _, _ = generated
+    code, out, err = run_cli(capsys, "mimosa", edges, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be >= 0, got -1\n"
+
+
 def test_mimosa_prints_the_disconnected_warning_as_one_line(tmp_path, capsys):
     # two triangles joined by c-d, and a separate edge x-y; the warning used
     # to come with its source file, line and code
@@ -740,6 +753,56 @@ def test_sweep_survives_a_disconnected_sample(tmp_path, capsys, mode, note):
     # sgc gives the disconnected trial, and so its point's mean, a nan row;
     # mimosa clusters the largest component and fills every row
     assert nan_rows == (["0.01,0,nan,nan,nan,nan,nan", "0.01,mean,nan,nan,nan,nan,nan"] if "sgc" in mode else [])
+
+
+def test_mimosa_sweep_starts_from_the_points_weights(tmp_path, capsys):
+    # mode = mimosa used to check the spec's w and then run from uniform weights
+    code, out, err = run_cli(capsys, "sweep", write(tmp_path / "w.cfg", MIMOSA_SWEEP_SPEC + "w = 0.9,0.1\n"))
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:] if ",mean," not in line]
+    assert len(rows) == 4
+    for index, row in enumerate(rows):
+        p1, trial = float(row[0]), int(row[1])
+        seed = int(np.random.SeedSequence([5, index // 2, trial]).generate_state(1)[0])
+        graph, truth = generate_two_layer(TwoLayerCorrelatedParams(
+            cluster_sizes=(15, 15), q11=0.6, q10=0.2, q01=0.1, q00=0.1, p1=p1, p2=0.03, seed=seed,
+        ))
+        best = run_mimosa(graph, MimosaConfig(w_ini=LayerWeights((0.9, 0.1)), seed=seed, max_k=4)).selected
+        bounds = critical_bounds(graph, truth, best.w)
+        expected = (detectability(best.assignment, truth), best.w.values @ np.array([p1, 0.03]), bounds.t_lb,
+                    bounds.t_ub, best.partial_sum / int(best.assignment.sizes[: best.K].sum()))
+        assert row[2:] == [repr(float(value)) for value in expected]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha", "0.05,0.01", None),
+    ("alpha_prime", "0.01,0.05", None),
+    ("tau_set", "0,10", None),
+    ("alpha", "0.05,x", "{name}: expected comma-separated numbers, got '0.05,x'"),
+    ("alpha_prime", "0.05,1.5", "alpha_prime levels must be in (0, 1)"),
+    ("tau_set", "0,x", "{name}: expected comma-separated numbers, got '0,x'"),
+    ("eta", "x", "{name} is not a number: 'x'"),
+    ("eta", "2", "eta must be in (0, 1), got 2.0"),
+    ("max_k", "2.5", "{name} is not an integer: '2.5'"),
+    ("max_k", "1", "max_k must be at least 2, got 1"),
+], ids=["alpha-list", "alpha_prime-list", "tau_set-list", "alpha-text", "alpha_prime-range", "tau_set-text",
+        "eta-text", "eta-range", "max_k-text", "max_k-range"])
+def test_mimosa_flags_and_sweep_keys_read_a_setting_alike(tmp_path, capsys, key, value, message):
+    # sweep used to read alpha and alpha_prime as one number each
+    graph, _ = generate_two_layer(TwoLayerCorrelatedParams(
+        cluster_sizes=(15, 15), q11=0.6, q10=0.2, q01=0.1, q00=0.1, p1=0.02, p2=0.03, seed=1,
+    ))
+    edges = write(tmp_path / "g.tsv", serialize_multilayer_edge_list(graph))
+    spec = write(tmp_path / "s.cfg", MIMOSA_SWEEP_SPEC.replace("max_k = 4\n", "") + f"{key} = {value}\n")
+    flag = "--" + key.replace("_", "-")
+    for name, (code, out, err) in {
+        flag: run_cli(capsys, "mimosa", edges, flag, value),
+        key: run_cli(capsys, "sweep", spec),
+    }.items():
+        if message is None:
+            assert code in ((0, 3) if name == flag else (0,)), err
+        else:
+            assert (code, out, err) == (2, "", f"error: {message.format(name=name)}\n")
 
 
 # ---------------------------------------------------------------- evaluate

@@ -420,8 +420,8 @@ def _pure_noise_instance(seed):
 
 def test_k_stops_at_isqrt_of_the_component():
     # K clusters of at least K nodes need K^2 nodes, so on 60 nodes no K
-    # above isqrt(60) = 7 can pass the cluster-size test; the default cap
-    # (n // 2 = 30) must give the same document as the cap 7
+    # above isqrt(60) = 7 can pass the cluster-size test; no cap must give
+    # the same document as the cap 7
     graph = _pure_noise_instance(600)
     result = run_mimosa(graph, MimosaConfig(seed=0))
     assert result.status == "not_applicable"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -254,6 +255,18 @@ def test_kmeans_identical_points_repaired_singleton():
     assert wcss == pytest.approx(0.0, abs=1e-12)
 
 
+def test_kmeans_stops_a_restart_that_cycles():
+    # fewer distinct points than clusters: the empty-cluster repair and the
+    # tie rule alternate between two labelings, which used to run every
+    # restart for all max_iter steps
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((3, 6))[rng.integers(0, 3, 80)]
+    start = time.perf_counter()
+    asn = kmeans(rows, 10, seed=0)
+    assert time.perf_counter() - start < 0.5
+    assert asn.K == 10 and asn.n_min >= 1
+
+
 def exhaustive_best_wcss(rows):
     n = rows.shape[0]
     best = np.inf
@@ -318,7 +331,8 @@ def test_kmeans_rejects_non_finite_rows(value):
 
 
 # The sequential K-means that the batched one replaced, verbatim except for
-# the name of its entry point: the batched restarts must give the same labels.
+# the name of its entry point and the cycle stop in ``_lloyd``: the batched
+# restarts must give the same labels.
 
 
 def _kmeans_plusplus_init(rows: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
@@ -379,12 +393,13 @@ def _repair_empty(rows: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
 def _lloyd(rows: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple[np.ndarray, float]:
     K = centers.shape[0]
     labels = _repair_empty(rows, _assign(rows, centers), K)
+    before = labels
     for _ in range(max_iter):
         centers = _centers_from_labels(rows, labels, K)
         new_labels = _repair_empty(rows, _assign(rows, centers), K)
-        if np.array_equal(new_labels, labels):
+        if np.array_equal(new_labels, labels) or np.array_equal(new_labels, before):
             break
-        labels = new_labels
+        before, labels = labels, new_labels
     centers = _centers_from_labels(rows, labels, K)
     inertia = float(np.sum((rows - centers[labels]) ** 2))
     return labels, inertia
