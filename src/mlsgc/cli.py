@@ -368,7 +368,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     model = _two_layer_model(config, "sweep")
     if "w1" in axis_names and "w" in config:
         raise ValueError("sweep: cannot combine a w1 axis with a fixed w vector")
-    if "w1" in config and "w" not in config and "w1" not in axis_names:
+    if "w1" in config and "w" in config:
+        raise ValueError("sweep: give w or w1, not both")
+    if "w1" in config and "w1" not in axis_names:
         fixed["w1"] = _read(config, "w1", "sweep", float)
     base_w = _weights_or_uniform(config.get("w"), 2, "w")
     k = _read(config, "k", "sweep", int) if mode == "sgc" else None

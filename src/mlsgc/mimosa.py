@@ -91,8 +91,9 @@ class MimosaConfig:
         taus = tuple(float(t) for t in self.tau_set)
         if not taus:
             raise ValueError("tau_set must not be empty")
-        if any(not math.isfinite(t) or t < 0.0 for t in taus):
-            raise ValueError("every tau must be finite and nonnegative")
+        for t in taus:
+            if not math.isfinite(t) or t < 0.0:
+                raise ValueError(f"tau_set entries must be finite and nonnegative, got {t}")
         object.__setattr__(self, "tau_set", taus)
         if not 0.0 < self.eta < 1.0:
             raise ValueError(f"eta must be in (0, 1), got {self.eta}")
@@ -359,6 +360,19 @@ def run_mimosa(graph: MultilayerGraph, config: MimosaConfig | None = None) -> Mi
 
 _Levels = tuple[tuple[float, ...], tuple[float, ...]]  # per-layer (alpha, alpha_prime)
 _Step = tuple[TraceRecord, ReliableCandidate | None]
+_NoiseMemo = dict[tuple[bytes | None, bytes], NoiseEstimates]  # (component nodes, labels) -> estimates
+
+
+def _noise(memo: _NoiseMemo, comp: _Component, assignment: ClusterAssignment) -> NoiseEstimates:
+    """Noise estimates of ``comp`` under ``assignment``, made once per run.
+
+    They depend on the component's graph and the labels only, not on the
+    weights, and a component's graph is fixed by its node set.
+    """
+    key = (None if comp.nodes is None else comp.nodes.tobytes(), assignment.labels.tobytes())
+    if key not in memo:
+        memo[key] = estimate_noise(comp.graph, assignment)
+    return memo[key]
 
 
 def _steps(graph: MultilayerGraph, config: MimosaConfig, w_ini: LayerWeights, levels: _Levels) -> Iterator[_Step]:
@@ -369,6 +383,7 @@ def _steps(graph: MultilayerGraph, config: MimosaConfig, w_ini: LayerWeights, le
     """
     seed = int(config.seed)
     steps_per_k = len(config.tau_set) + 1
+    noise: _NoiseMemo = {}
     comp_ini = _component(graph, w_ini)
     if comp_ini.nodes is not None:
         warnings.warn(
@@ -383,7 +398,7 @@ def _steps(graph: MultilayerGraph, config: MimosaConfig, w_ini: LayerWeights, le
         # The init step clusters with the initial weights; its embedding is kept for this K.
         emb_ini = _embed(comp_ini, K, seed, 0)
         asg_ini = _cluster(emb_ini, K, seed, 0)
-        t_ini = estimate_noise(comp_ini.graph, asg_ini).t_hat_layer
+        t_ini = _noise(noise, comp_ini, asg_ini).t_hat_layer
         yield TraceRecord(
             index=(K - 2) * steps_per_k, K=K, tau=None, w=tuple(w_ini.values), outcome="init_ok",
             disconnected=comp_ini.nodes is not None, component_size=comp_ini.size,
@@ -396,7 +411,7 @@ def _steps(graph: MultilayerGraph, config: MimosaConfig, w_ini: LayerWeights, le
             w = adapt_weights(w_ini, t_ini, tau)
             # equal weights (always so at tau = 0) share the init step's component and embedding
             comp, embedding = (comp_ini, emb_ini) if w == w_ini else (_component(graph, w), None)
-            step = _candidate(config, comp, embedding, w, K, z, (K - 2) * steps_per_k + z, levels)
+            step = _candidate(config, comp, embedding, w, K, z, (K - 2) * steps_per_k + z, levels, noise)
             found_at_k |= step[1] is not None
             yield step
         if found_at_k:
@@ -424,20 +439,20 @@ def _cluster(embedding: SpectralEmbedding, K: int, seed: int, z: int) -> Cluster
 
 def _candidate(
     config: MimosaConfig, comp: _Component, embedding: SpectralEmbedding | None, w: LayerWeights,
-    K: int, z: int, index: int, levels: _Levels,
+    K: int, z: int, index: int, levels: _Levels, noise: _NoiseMemo,
 ) -> _Step:
     """The z-th tau step of K: cluster ``comp`` (aggregated with ``w``) and test it.
 
     ``embedding`` is the component's embedding when already solved (the init
     step's, when ``w`` equals the initial weights); None solves it here.
+    ``noise`` holds the run's noise estimates so far.
     Returns the step's trace record and, when every reliability test passes,
     its candidate; the record's index is ``index``.
     """
     tau = config.tau_set[z - 1]
-    sub = comp.graph
     base = dict(index=index, K=K, tau=tau, w=tuple(w.values), disconnected=comp.nodes is not None,
                 component_size=comp.size)
-    if sub.n < K + 1:
+    if comp.graph.n < K + 1:
         return TraceRecord(outcome="component_too_small", **base), None
 
     seed = int(config.seed)
@@ -449,7 +464,7 @@ def _candidate(
     if sub_assignment.n_min < K:
         return TraceRecord(outcome="degenerate_cluster", **base), None
 
-    est = estimate_noise(sub, sub_assignment)
+    est = _noise(noise, comp, sub_assignment)
     min_p, min_arg = _vtest_scan(est, sub_assignment)
     base["vtest_min_p"] = min_p
     base["vtest_min_arg"] = min_arg

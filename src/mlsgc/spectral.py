@@ -274,8 +274,25 @@ def smallest_eigenpairs(
 # ---------------------------------------------------------------------------
 
 
+def _d2_draw(d2: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise D^2-weighted index draws: ``(m, n)`` squared distances -> ``(m,)`` indices.
+
+    The arithmetic of numpy's own draw inside ``Generator.choice(n, p=d2 / total)``
+    for the uniform ``u``: a normalized cdf and the count of its entries ``<= u``,
+    which is ``cdf.searchsorted(u, side="right")``.  Each row is reduced in the
+    order of the 1-D call, so the indices are the same bit for bit.
+    """
+    cdf = (d2 / total[:, None]).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
+
+
 def _kmeans_plusplus_init(rows: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    """K-means++ seeding: D^2-weighted incremental center choice."""
+    """One K-means++ seeding: D^2-weighted incremental center choice.
+
+    A center drawn while every row sits on a chosen center (a D^2 total of 0)
+    is drawn uniformly with ``rng.integers(n)``.
+    """
     n = rows.shape[0]
     centers = np.empty((K, rows.shape[1]))
     first = int(rng.integers(n))
@@ -286,10 +303,38 @@ def _kmeans_plusplus_init(rows: np.ndarray, K: int, rng: np.random.Generator) ->
         if total <= 0.0:
             choice = int(rng.integers(n))
         else:
-            choice = int(rng.choice(n, p=d2 / total))
+            choice = int(_d2_draw(d2[None], np.array([total]), np.array([rng.random()]))[0])
         centers[k] = rows[choice]
         d2 = np.minimum(d2, np.sum((rows - centers[k]) ** 2, axis=1))
     return centers
+
+
+def _kmeans_plusplus(rows: np.ndarray, K: int, restarts: int, rng: np.random.Generator) -> np.ndarray:
+    """K-means++ seedings of every restart, ``(restarts, K, d)``, in one pass.
+
+    Draws, restart by restart, ``rng.integers(n)`` for the first center and
+    ``rng.random(K - 1)`` for the others: the draws of
+    :func:`_kmeans_plusplus_init` run once per restart while every D^2 total
+    stays positive.  When some total is 0 (every row on a chosen center, as
+    with fewer distinct rows than K), the generator is rewound and the
+    restarts are seeded one at a time instead.
+    """
+    n = rows.shape[0]
+    state = rng.bit_generator.state
+    picks = np.empty((restarts, K), dtype=np.int64)
+    u = np.empty((restarts, K - 1))
+    for r in range(restarts):
+        picks[r, 0] = rng.integers(n)
+        u[r] = rng.random(K - 1)
+    d2 = np.sum((rows - rows[picks[:, :1]]) ** 2, axis=2)
+    for k in range(1, K):
+        total = d2.sum(axis=1)
+        if np.any(total <= 0.0):
+            rng.bit_generator.state = state
+            return np.stack([_kmeans_plusplus_init(rows, K, rng) for _ in range(restarts)])
+        picks[:, k] = _d2_draw(d2, total, u[:, k - 1])
+        d2 = np.minimum(d2, np.sum((rows - rows[picks[:, k : k + 1]]) ** 2, axis=2))
+    return rows[picks]
 
 
 def _counts(labels: np.ndarray, K: int) -> np.ndarray:
@@ -346,19 +391,24 @@ def kmeans(
 ) -> ClusterAssignment:
     """Seeded K-means with restarts on embedding rows.
 
-    Draws ``restarts`` K-means++ seedings in turn from one seeded generator
-    (so the whole call is a pure function of its arguments), then runs their
-    Lloyd iterations together; a restart stops once its labels stop changing
-    or return to those of two steps back, or after ``max_iter`` steps.  Keeps
-    the result with the strictly lowest within-cluster sum of squares; ties
-    keep the earliest restart.  Empty clusters during Lloyd iterations are
-    repaired by reseeding them with the point farthest from its current
-    centroid.
+    Seeds every restart with K-means++ from one seeded generator (so the
+    whole call is a pure function of its arguments), drawing restart by
+    restart ``integers(n)`` for the first center, then one uniform double
+    per further center, which picks a row with probability proportional to
+    its squared distance to the nearest chosen center.  A center drawn while
+    every row sits on a chosen center is drawn by ``integers(n)`` instead.
+    The seedings are computed together, then the restarts' Lloyd iterations
+    run together; a restart stops once its labels stop changing or return to
+    those of two steps back, or after ``max_iter`` steps.  Keeps the result
+    with the strictly lowest within-cluster sum of squares; ties keep the
+    earliest restart.  Empty clusters during Lloyd iterations are repaired
+    by reseeding them with the point farthest from its current centroid.
 
     Raises:
-        ValueError: ``rows`` is not a 2-D array or holds a non-finite value,
-            ``K < 1``, ``restarts < 1``, ``max_iter < 0``, or there are
-            fewer rows than clusters.
+        ValueError: ``rows`` is not a 2-D array, holds a non-finite value or
+            one so large that squared distances could overflow, ``K < 1``,
+            ``restarts < 1``, ``max_iter < 0``, or there are fewer rows than
+            clusters.
     """
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     if rows.ndim != 2:
@@ -370,8 +420,13 @@ def kmeans(
         raise ValueError(f"need at least K={K} rows, got {rows.shape[0]}")
     if not np.isfinite(rows).all():
         raise ValueError("rows must be finite")
+    # every squared distance, D^2 total and inertia stays below 4 * n * d * max|x|^2
+    limit = np.sqrt(np.finfo(np.float64).max / (4.0 * max(rows.size, 1)))
+    peak = float(np.abs(rows).max(initial=0.0))
+    if peak > limit:
+        raise ValueError(f"rows must lie within +-{limit:.3g} so that squared distances stay finite, got {peak:.3g}")
     rng = np.random.default_rng(seed)
-    centers = np.stack([_kmeans_plusplus_init(rows, K, rng) for _ in range(restarts)])
+    centers = _kmeans_plusplus(rows, K, restarts, rng)
     twice_rows, sq_rows = 2.0 * rows, np.sum(rows**2, axis=1)
     labels = _repair_empty(rows, _assign(twice_rows, sq_rows, centers), K)
     live = np.arange(restarts)

@@ -704,7 +704,10 @@ def test_sweep_is_deterministic(tmp_path, capsys, spec, header, points, trials):
     (MIMOSA_SWEEP_SPEC.replace("max_k = 4", "max_k = 1"), "max_k must be at least 2, got 1"),
     (MIMOSA_SWEEP_SPEC + "w = 0.5,0.3,0.2\n", "w: 3 weights for 2 layers"),
     (SWEEP_SPEC.replace("p1:0.1:0.1:0.05", "p1:0.5:1.5:0.5"), "p1 must be in [0, 1], got 1.5"),
-], ids=["sgc-k", "mimosa-max_k", "w-length", "last-grid-point"])
+    (SWEEP_SPEC + "w = 0.7,0.3\nw1 = 0.2\n", "sweep: give w or w1, not both"),
+    (SWEEP_SPEC.replace("axis = p1:0.1:0.1:0.05", "axis = w1:0.2:0.8:0.3\np1 = 0.1") + "w = 0.7,0.3\n",
+     "sweep: cannot combine a w1 axis with a fixed w vector"),
+], ids=["sgc-k", "mimosa-max_k", "w-length", "last-grid-point", "w-and-w1", "w1-axis-and-w"])
 def test_sweep_reads_every_key_before_sampling(tmp_path, capsys, monkeypatch, spec, message):
     calls = []
     monkeypatch.setattr(mlsgc.cli, "generate_two_layer", lambda params: calls.append(params))
@@ -781,12 +784,13 @@ def test_mimosa_sweep_starts_from_the_points_weights(tmp_path, capsys):
     ("alpha", "0.05,x", "{name}: expected comma-separated numbers, got '0.05,x'"),
     ("alpha_prime", "0.05,1.5", "alpha_prime levels must be in (0, 1)"),
     ("tau_set", "0,x", "{name}: expected comma-separated numbers, got '0,x'"),
+    ("tau_set", "0,-1", "tau_set entries must be finite and nonnegative, got -1.0"),
     ("eta", "x", "{name} is not a number: 'x'"),
     ("eta", "2", "eta must be in (0, 1), got 2.0"),
     ("max_k", "2.5", "{name} is not an integer: '2.5'"),
     ("max_k", "1", "max_k must be at least 2, got 1"),
 ], ids=["alpha-list", "alpha_prime-list", "tau_set-list", "alpha-text", "alpha_prime-range", "tau_set-text",
-        "eta-text", "eta-range", "max_k-text", "max_k-range"])
+        "tau_set-range", "eta-text", "eta-range", "max_k-text", "max_k-range"])
 def test_mimosa_flags_and_sweep_keys_read_a_setting_alike(tmp_path, capsys, key, value, message):
     # sweep used to read alpha and alpha_prime as one number each
     graph, _ = generate_two_layer(TwoLayerCorrelatedParams(

@@ -214,16 +214,20 @@ def test_each_candidate_aggregates_and_counts_blocks_once(reliable_three_cluster
     # tau = 0 leaves w_ini unchanged, so it reuses the initial component and
     # the init step's embedding: one aggregation per run plus one per tau > 0
     # and K; one eigensolve per K plus one per tau > 0, and one K-means per
-    # step; one noise estimate per K plus one per candidate that reaches the
-    # V-scan
+    # step; one noise estimate per distinct labeling among the init steps and
+    # the candidates that reach the V-scan
     graph, _, expected = reliable_three_cluster_result
     counts = {"aggregate": 0, "estimate_noise": 0, "smallest_eigenpairs": 0, "kmeans": 0}
+    step_labels = []
     for name in counts:
         real = getattr(mimosa, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             counts[_name] += 1
-            return _real(*args, **kwargs)
+            out = _real(*args, **kwargs)
+            if _name == "kmeans":
+                step_labels.append(out.labels.tobytes())
+            return out
 
         monkeypatch.setattr(mimosa, name, counted)
     result = run_mimosa(graph, MimosaConfig(seed=0))
@@ -236,7 +240,41 @@ def test_each_candidate_aggregates_and_counts_blocks_once(reliable_three_cluster
     assert counts["aggregate"] == 1 + (taus - 1) * n_k
     assert counts["smallest_eigenpairs"] == (1 + (taus - 1)) * n_k
     assert counts["kmeans"] == (1 + taus) * n_k
-    assert counts["estimate_noise"] == n_k + scanned
+    estimated = {labels for labels, rec in zip(step_labels, result.trace)
+                 if rec.tau is None or rec.vtest_min_p is not None}
+    assert counts["estimate_noise"] == len(estimated) < n_k + scanned
+
+
+@pytest.mark.parametrize("p", [0.1, 0.2], ids=["found", "not-applicable"])
+@pytest.mark.parametrize("disconnected", [False, True], ids=["connected", "disconnected"])
+def test_noise_estimated_once_per_labeling_gives_the_run_that_estimates_every_step(monkeypatch, p, disconnected):
+    # differential check of the run's noise memo, on a 36-node planted graph
+    # and on it plus a separate two-node component
+    graph, _ = generate_two_layer(TwoLayerCorrelatedParams(
+        cluster_sizes=(12, 12, 12), q11=0.3, q10=0.2, q01=0.1, q00=0.4, p1=p, p2=p, seed=0,
+    ))
+    if disconnected:
+        pair = sparse.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        graph = MultilayerGraph.from_matrices(
+            graph.node_ids + ("zz0", "zz1"), [sparse.block_diag((layer, pair)) for layer in graph.layers],
+        )
+    calls = []
+    real = mimosa.estimate_noise
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(mimosa, "estimate_noise", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        memoized = run_mimosa(graph, MimosaConfig(seed=2))
+        once = len(calls)
+        monkeypatch.setattr(mimosa, "_noise", lambda memo, comp, assignment: counted(comp.graph, assignment))
+        every_step = run_mimosa(graph, MimosaConfig(seed=2))
+    assert serialize_result(every_step) == serialize_result(memoized)
+    assert all(rec.disconnected == disconnected for rec in memoized.trace)
+    assert once < len(calls) - once
 
 
 def test_eigensolver_failure_keeps_the_trace_up_to_the_failing_step(reliable_three_cluster_result, monkeypatch):
@@ -347,8 +385,10 @@ def test_config_validation():
         MimosaConfig(alpha=0.0)
     with pytest.raises(ValueError):
         MimosaConfig(alpha_prime=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tau_set entries must be finite and nonnegative, got -1\.0$"):
         MimosaConfig(tau_set=(0.0, -1.0))
+    with pytest.raises(ValueError, match=r"^tau_set entries must be finite and nonnegative, got nan$"):
+        MimosaConfig(tau_set=(float("nan"),))
     with pytest.raises(ValueError):
         MimosaConfig(max_k=1)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -330,6 +331,22 @@ def test_kmeans_rejects_non_finite_rows(value):
         kmeans(rows, 2)
 
 
+@pytest.mark.parametrize("rows, peak", [
+    ([[1e200], [0.0], [-1e200], [5.0]], "1e+200"),
+    ([[0.0], [0.0], [1.2e154], [1.2e154]], "1.2e+154"),
+], ids=["distances", "totals"])
+def test_kmeans_names_rows_whose_squared_distances_overflow(rows, peak):
+    # the first used to end in numpy's "Probabilities contain NaN" after an
+    # overflow RuntimeWarning; in the second every squared distance is
+    # finite but their total is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            kmeans(np.array(rows), 2)
+    limit = np.sqrt(np.finfo(np.float64).max / 16)
+    assert str(info.value) == f"rows must lie within +-{limit:.3g} so that squared distances stay finite, got {peak}"
+
+
 # The sequential K-means that the batched one replaced, verbatim except for
 # the name of its entry point and the cycle stop in ``_lloyd``: the batched
 # restarts must give the same labels.
@@ -463,6 +480,48 @@ def test_batched_kmeans_matches_the_sequential_reference(problem, seed, restarts
     rows, K = problem
     got = kmeans(rows, K, seed, restarts=restarts, max_iter=max_iter)
     assert np.array_equal(got.labels, reference_kmeans(rows, K, seed, restarts=restarts, max_iter=max_iter).labels)
+
+
+@pytest.mark.parametrize("rows, K, restarts, seedings", [
+    (np.random.default_rng(4).standard_normal((60, 9)), 10, 20, 0),
+    (np.random.default_rng(5).standard_normal((4, 3))[np.random.default_rng(6).integers(0, 4, 50)], 6, 20, 20),
+    (np.random.default_rng(7).standard_normal((30, 2)), 4, 1, 0),
+], ids=["distinct-rows", "fewer-distinct-rows-than-K", "one-restart"])
+def test_kmeans_seeds_like_the_sequential_reference(monkeypatch, rows, K, restarts, seedings):
+    # distinct rows take the one-pass seeding (d = 9 also exercises numpy's
+    # pairwise sums over a row); fewer distinct rows than K rewind the
+    # generator and seed restart by restart
+    calls = []
+    one = spectral._kmeans_plusplus_init
+
+    def counted(*args):
+        calls.append(1)
+        return one(*args)
+
+    monkeypatch.setattr(spectral, "_kmeans_plusplus_init", counted)
+    for seed in range(5):
+        got = kmeans(rows, K, seed, restarts=restarts)
+        assert np.array_equal(got.labels, reference_kmeans(rows, K, seed, restarts=restarts).labels)
+    assert len(calls) == 5 * seedings
+
+
+@st.composite
+def repeated_row_problems(draw):
+    """2-60 rows (0-9 columns) copied from at most 6 distinct points, and K up to the row count."""
+    n, d = draw(st.integers(2, 60)), draw(st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.standard_normal((draw(st.integers(1, 6)), d))
+    if draw(st.booleans()):  # small integers tie distances
+        points = np.round(2.0 * points)
+    return points[rng.integers(points.shape[0], size=n)], draw(st.integers(1, min(n, 12)))
+
+
+@given(problem=repeated_row_problems(), seed=st.integers(0, 2**32 - 1), restarts=st.integers(1, 25))
+@settings(max_examples=200, deadline=None)
+def test_kmeans_on_repeated_rows_matches_the_sequential_reference(problem, seed, restarts):
+    rows, K = problem
+    got = kmeans(rows, K, seed, restarts=restarts)
+    assert np.array_equal(got.labels, reference_kmeans(rows, K, seed, restarts=restarts).labels)
 
 
 # ---------------------------------------------------------------- pipeline
