@@ -262,9 +262,10 @@ class AggregatedGraph:
         strength: per-node strength vector (row sums of ``weight_matrix``).
 
     The graph Laplacian ``diag(strength) - weight_matrix`` is kept implicit:
-    :meth:`laplacian` builds it sparse and :meth:`laplacian_dense` dense, with
-    equal bytes, and :meth:`laplacian_matvec` applies it to a vector.  The
-    eigensolver takes the graph and builds whichever form it solves.
+    :meth:`laplacian_dense` builds it dense for LAPACK, and
+    :meth:`laplacian_matvec` applies it to a vector for ARPACK (applied to
+    the columns of the identity, it gives the dense matrix's bytes).  The
+    eigensolver takes the graph and uses whichever its solver needs.
     """
 
     weight_matrix: sparse.csr_array
@@ -274,24 +275,19 @@ class AggregatedGraph:
     def n(self) -> int:
         return self.weight_matrix.shape[0]
 
-    def laplacian(self) -> sparse.csr_array:
-        """Sparse Laplacian ``diag(strength) - weight_matrix``."""
-        lap = sparse.diags_array(self.strength, format="csr") - self.weight_matrix
-        return sparse.csr_array(lap)
-
     def laplacian_dense(self) -> np.ndarray:
-        """Dense Laplacian, byte-equal to ``laplacian().toarray()``.
+        """Dense Laplacian ``diag(strength) - weight_matrix``.
 
-        ``0.0 - W`` rather than ``-W``: a missing edge is ``+0.0``, as in the
-        sparse form, not ``-0.0``; LAPACK's output bits can depend on the
-        sign of a zero.
+        ``0.0 - W`` rather than ``-W``: a missing edge is ``+0.0``, as
+        :meth:`laplacian_matvec` gives it, not ``-0.0``; LAPACK's output bits
+        can depend on the sign of a zero.
         """
         dense = 0.0 - self.weight_matrix.toarray()
         np.fill_diagonal(dense, self.strength)
         return dense
 
     def laplacian_matvec(self, x: np.ndarray) -> np.ndarray:
-        """O(m) product of the Laplacian with a vector."""
+        """O(m) product of the Laplacian with a 1-D vector, as ARPACK applies it."""
         return self.strength * x - self.weight_matrix @ x
 
     @cached_property

@@ -73,10 +73,12 @@ class MimosaConfig:
         alpha: identical-noise test level, one scalar for every layer or a
             per-layer sequence.
         alpha_prime: non-identical threshold test level, scalar or per-layer.
-        max_k: largest cluster count to try; None sets no cap of its own.
+        max_k: largest cluster count to try, an integer of at least 2;
+            None sets no cap of its own.
             K always stops at ``isqrt`` of the clustered component's size,
             since a larger K cannot give every cluster K nodes.
-        seed: root seed; the whole run is a pure function of (graph, config).
+        seed: nonnegative integer root seed; the whole run is a pure
+            function of (graph, config).
     """
 
     w_ini: LayerWeights | None = None
@@ -104,10 +106,13 @@ class MimosaConfig:
                 raise ValueError(f"{name} levels must be in (0, 1)")
             if not np.isscalar(value):
                 object.__setattr__(self, name, levels)
-        if self.max_k is not None and self.max_k < 2:
-            raise ValueError(f"max_k must be at least 2, got {self.max_k}")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be nonnegative")
+        if self.max_k is not None:
+            if not isinstance(self.max_k, (int, np.integer)):
+                raise ValueError(f"max_k must be an integer, got {self.max_k}")
+            if self.max_k < 2:
+                raise ValueError(f"max_k must be at least 2, got {self.max_k}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 def adapt_weights(w_ini: LayerWeights, t_hat: np.ndarray, tau: float) -> LayerWeights:

@@ -9,9 +9,9 @@ analysis elsewhere in the package.
 
 Every Laplacian eigenproblem of the package goes through one function,
 :func:`smallest_laplacian_eigs`.  It takes the graph, not its Laplacian,
-and builds the form it solves by one size rule: up to 512 nodes a dense
-Laplacian for LAPACK, above that a sparse one for ARPACK, started from a
-vector drawn from the caller's seeded generator, so results are
+and picks the solver by one size rule: up to 512 nodes LAPACK on the dense
+Laplacian, above that ARPACK on the graph's own Laplacian product, started
+from a vector drawn from the caller's seeded generator, so results are
 reproducible bit for bit.
 """
 
@@ -192,10 +192,10 @@ def smallest_laplacian_eigs(
     the dense Laplacian is solved: ``numpy.linalg.eigvalsh`` for values,
     ``scipy.linalg.eigh`` restricted to the wanted indices with vectors.
     Larger graphs go to ARPACK (``scipy.sparse.linalg.eigsh`` with
-    ``which="SA"``, converged to machine precision) on the sparse Laplacian
-    from a start vector drawn from ``rng``, so repeated calls with equal
-    generators return identical bits.  The graph may be disconnected;
-    eigenvalues are clipped at 0 against round-off.
+    ``which="SA"``, converged to machine precision) on the operator
+    ``g.laplacian_matvec``, from a start vector drawn from ``rng``, so
+    repeated calls with equal generators return identical bits.  The graph
+    may be disconnected; eigenvalues are clipped at 0 against round-off.
 
     Args:
         g: graph of ``n`` nodes, such as an aggregation or an induced
@@ -205,10 +205,13 @@ def smallest_laplacian_eigs(
         vectors: also return the ``(n, count)`` unit eigenvectors.
 
     Raises:
+        ValueError: ``count`` is not in ``1..n``.
         ConvergenceError: ARPACK failed; ``residual`` is nan because ARPACK
             reports none.
     """
     n = g.n
+    if not 1 <= count <= n:
+        raise ValueError(f"count must satisfy 1 <= count <= n = {n}, got {count}")
     if n <= _DENSE_MAX_N or count >= n:
         dense = g.laplacian_dense()
         if not vectors:
@@ -217,8 +220,10 @@ def smallest_laplacian_eigs(
         return np.maximum(values, 0.0), vecs
     if rng is None:
         rng = np.random.default_rng(0)
+    # ARPACK applies it to 1-D vectors only: an (n, 1) column would broadcast against strength
+    lap = sparse_linalg.LinearOperator((n, n), matvec=g.laplacian_matvec, dtype=np.float64)
     try:
-        values, vecs = sparse_linalg.eigsh(g.laplacian(), k=count, which="SA", v0=rng.standard_normal(n))
+        values, vecs = sparse_linalg.eigsh(lap, k=count, which="SA", v0=rng.standard_normal(n))
     except sparse_linalg.ArpackError as err:
         raise ConvergenceError(f"ARPACK eigensolver failed: {err}", residual=float("nan")) from err
     order = np.argsort(values)

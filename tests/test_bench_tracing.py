@@ -5,10 +5,13 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mlsgc.cli
-from mlsgc import MimosaConfig, TwoLayerCorrelatedParams, generate_two_layer, run_mimosa
+from mlsgc import LayerWeights, MimosaConfig, TwoLayerCorrelatedParams, generate_two_layer, multilayer_sgc, run_mimosa
+
+from .conftest import connected_random_multilayer
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -76,3 +79,18 @@ def test_traced_cli_run_records_one_parse(tracing, tmp_path, capsys):
         tracer.restore()
     assert code == 0, capsys.readouterr().err
     assert [name for name, *_ in tracer.spans].count("graph_core.parse") == 1
+
+
+def test_traced_arpack_solve_counts_its_operator_applications(tracing):
+    # above 512 nodes ARPACK applies AggregatedGraph.laplacian_matvec, the name
+    # the tracer counts; an operator that went round it would read 0
+    graph = connected_random_multilayer(np.random.default_rng(23), 600, 2, density=0.02)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        multilayer_sgc(graph, LayerWeights.uniform(2), 3, seed=0)
+    finally:
+        tracer.restore()
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
+    assert metrics["spectral.eigensolve_calls"] == 1
+    assert metrics["spectral.matvecs"] > 0

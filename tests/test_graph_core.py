@@ -719,16 +719,15 @@ def test_whole_graph_cluster_recovers_full_laplacian(triangle):
 def test_singleton_cluster_gives_zero_matrix(triangle):
     asn = balanced_assignment([1, 2])
     sub = induced_subgraph(triangle.layers[0], asn.members(0))
-    assert sub.laplacian().shape == (1, 1)
+    assert sub.laplacian_dense().shape == (1, 1)
     assert sub.laplacian_dense() == pytest.approx(0.0)
 
 
 def test_within_cluster_laplacian_rows_sum_to_zero(barbell4):
     asn = balanced_assignment([2, 2])
     for k in range(2):
-        lap = induced_subgraph(barbell4.layers[0], asn.members(k)).laplacian()
-        rows = np.asarray(lap.sum(axis=1)).ravel()
-        assert np.allclose(rows, 0.0, atol=1e-12)
+        lap = induced_subgraph(barbell4.layers[0], asn.members(k)).laplacian_dense()
+        assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
 
 
 def test_critical_bounds_name_the_node_whose_within_cluster_strength_overflows():
@@ -747,8 +746,8 @@ def test_critical_bounds_name_the_node_whose_within_cluster_strength_overflows()
 
 @given(edge_layers(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_dense_laplacian_is_byte_equal_to_the_sparse_one(case, data):
-    """Also in its signs: a missing edge is +0.0 in both forms, never -0.0."""
+def test_dense_laplacian_is_byte_equal_to_the_product_on_the_identity(case, data):
+    """Also in its signs: a missing edge is +0.0 in both, never -0.0."""
     n, layers = case
     g = MultilayerGraph.from_edges(ids(n), iter(layers))
     nodes = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
@@ -760,7 +759,10 @@ def test_dense_laplacian_is_byte_equal_to_the_sparse_one(case, data):
         except ValueError:  # a strength overflowed
             pass
     for sub in graphs:
-        assert sub.laplacian_dense().tobytes() == sub.laplacian().toarray().tobytes()
+        if not np.isfinite(sub.strength).all():  # inf * 0 is nan in the product
+            continue
+        columns = np.array([sub.laplacian_matvec(e) for e in np.eye(sub.n)]).reshape(sub.n, sub.n).T
+        assert sub.laplacian_dense().tobytes() == columns.tobytes()
 
 
 # ---------------------------------------------------------- normalization

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from mlsgc import (
     ConvergenceError,
@@ -31,7 +32,7 @@ from mlsgc import (
     snr,
     vtest_homogeneity,
 )
-from mlsgc import mimosa
+from mlsgc import graph_core, mimosa
 
 
 # --------------------------------------------------------- adapt_weights
@@ -277,6 +278,71 @@ def test_noise_estimated_once_per_labeling_gives_the_run_that_estimates_every_st
     assert once < len(calls) - once
 
 
+def _memo_free_steps(graph, config, w_ini, levels):
+    """MIMOSA's step loop with no memo: every step aggregates, finds the
+    components, solves and estimates the noise anew.  At tau = 0 it solves
+    from the tau step's own start vector, which the dense solver of these
+    small graphs does not read."""
+    seed, steps_per_k = int(config.seed), len(config.tau_set) + 1
+    for K in range(2, min(config.max_k or math.inf, math.isqrt(mimosa._component(graph, w_ini).graph.n)) + 1):
+        comp = mimosa._component(graph, w_ini)
+        assignment = mimosa._cluster(mimosa._embed(comp, K, seed, 0), K, seed, 0)
+        t_ini = mimosa.estimate_noise(comp.graph, assignment).t_hat_layer
+        yield mimosa.TraceRecord(
+            index=(K - 2) * steps_per_k, K=K, tau=None, w=tuple(w_ini.values), outcome="init_ok",
+            disconnected=comp.nodes is not None, component_size=comp.size,
+            cluster_sizes=tuple(int(s) for s in assignment.sizes), t_hat_layers=tuple(float(t) for t in t_ini),
+        ), None
+        steps = []
+        for z, tau in enumerate(config.tau_set, start=1):
+            w = adapt_weights(w_ini, t_ini, tau)
+            steps.append(mimosa._candidate(
+                config, mimosa._component(graph, w), None, w, K, z, (K - 2) * steps_per_k + z, levels, {}))
+        yield from steps
+        if any(candidate is not None for _, candidate in steps):
+            return
+
+
+@pytest.mark.parametrize("p", [0.1, 0.2], ids=["found", "not-applicable"])
+@pytest.mark.parametrize("extra", [None, 2, 5], ids=["connected", "pair", "path"])
+def test_run_equals_the_memo_free_loop(monkeypatch, p, extra):
+    # differential check of every memo of a run (noise estimates, the tau = 0
+    # component and embedding, the components of an aggregation) on a 36-node
+    # planted graph, alone or with a separate path of `extra` nodes
+    graph, _ = generate_two_layer(TwoLayerCorrelatedParams(
+        cluster_sizes=(12, 12, 12), q11=0.3, q10=0.2, q01=0.1, q00=0.4, p1=p, p2=p, seed=0,
+    ))
+    if extra is not None:
+        path = sparse.diags_array([np.ones(extra - 1), np.ones(extra - 1)], offsets=[-1, 1], format="csr")
+        graph = MultilayerGraph.from_matrices(
+            graph.node_ids + tuple(f"zz{i}" for i in range(extra)),
+            [sparse.block_diag((layer, path)) for layer in graph.layers],
+        )
+    aggregations = []
+    real = mimosa.aggregate
+
+    def counted(*args):
+        aggregations.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(mimosa, "aggregate", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        memoized = run_mimosa(graph, MimosaConfig(seed=2))
+        once = len(aggregations)
+        monkeypatch.setattr(mimosa, "_steps", _memo_free_steps)
+        monkeypatch.setattr(graph_core.AggregatedGraph, "_components", property(
+            lambda g: csgraph.connected_components(g.weight_matrix, directed=False)))
+        memo_free = run_mimosa(graph, MimosaConfig(seed=2))
+    assert serialize_result(memo_free) == serialize_result(memoized)
+    assert [c.partial_sum for c in memo_free.reliable_set] == [c.partial_sum for c in memoized.reliable_set]
+    assert (memo_free.selected is None) == (p == 0.2)
+    if memo_free.selected is not None:
+        assert memo_free.selected.partial_sum == memoized.selected.partial_sum
+    assert all(rec.disconnected == (extra is not None) for rec in memoized.trace)
+    assert once < len(aggregations) - once
+
+
 def test_eigensolver_failure_keeps_the_trace_up_to_the_failing_step(reliable_three_cluster_result, monkeypatch):
     graph, _, expected = reliable_three_cluster_result
     real = mimosa.smallest_eigenpairs
@@ -391,6 +457,15 @@ def test_config_validation():
         MimosaConfig(tau_set=(float("nan"),))
     with pytest.raises(ValueError):
         MimosaConfig(max_k=1)
+    # a float max_k would fail later inside range(), and a float seed would be truncated
+    with pytest.raises(ValueError, match=r"^max_k must be an integer, got 2\.5$"):
+        MimosaConfig(max_k=2.5)
+    with pytest.raises(ValueError, match=r"^max_k must be an integer, got 3\.0$"):
+        MimosaConfig(max_k=np.float64(3.0))
+    for seed in (1.7, -0.5, -1, "1"):
+        with pytest.raises(ValueError, match=rf"^seed must be a nonnegative integer, got {seed}$"):
+            MimosaConfig(seed=seed)
+    assert MimosaConfig(max_k=np.int64(3), seed=np.uint32(7)).seed == 7
 
 
 def test_default_tau_grid():

@@ -170,15 +170,15 @@ def test_arpack_branch_matches_dense_oracle(arpack_graph, monkeypatch):
     assert np.max(np.abs(got - dense[1 : K + 1])) <= 1e-8 * dense[K]
 
 
-def test_graphs_up_to_the_dense_cutoff_never_build_a_sparse_laplacian(monkeypatch):
+def test_graphs_up_to_the_dense_cutoff_never_apply_the_laplacian_product(monkeypatch):
     g = aggregate(connected_random_multilayer(np.random.default_rng(5), 512, 2, density=0.02),
                   LayerWeights.uniform(2))
     dense = dense_laplacian_spectrum(g)
 
-    def no_sparse(self):
-        raise AssertionError("a sparse Laplacian was built for a dense solve")
+    def no_product(self, x):
+        raise AssertionError("ARPACK applied the Laplacian for a dense solve")
 
-    monkeypatch.setattr(graph_core.AggregatedGraph, "laplacian", no_sparse)
+    monkeypatch.setattr(graph_core.AggregatedGraph, "laplacian_matvec", no_product)
     emb = smallest_eigenpairs(g, 3)
     assert emb.eigenvalues == pytest.approx(dense[1:3], abs=1e-8)
     assert cluster_partial_sums(g, balanced_assignment([256, 256])).shape == (2,)
@@ -198,6 +198,16 @@ def test_k_up_to_n_minus_one_above_dense_cutoff(arpack_graph):
     emb = smallest_eigenpairs(arpack_graph, n - 1)
     assert emb.Y.shape == (n, n - 2)
     assert emb.lambda_kplus1 == pytest.approx(dense_laplacian_spectrum(arpack_graph)[-1], rel=1e-10)
+
+
+@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
+def test_laplacian_eigs_take_a_count_from_one_to_n(triangle, arpack_graph, vectors):
+    small = aggregate(triangle, LayerWeights.uniform(1))
+    for g, count in ((small, 0), (small, -1), (small, 4), (small, 5), (arpack_graph, 0), (arpack_graph, 601)):
+        with pytest.raises(ValueError, match=rf"^count must satisfy 1 <= count <= n = {g.n}, got {count}$"):
+            spectral.smallest_laplacian_eigs(g, count, vectors=vectors)
+    got = spectral.smallest_laplacian_eigs(small, 3, vectors=vectors)
+    assert (got[0] if vectors else got) == pytest.approx([0.0, 3.0, 3.0], abs=1e-8)
 
 
 def test_arpack_failure_becomes_convergence_error(arpack_graph, arpack_fails):
