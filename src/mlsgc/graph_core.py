@@ -10,14 +10,24 @@ Laplacian ``diag(strength) - W`` drives the spectral clustering pipeline.
 
 All types here are immutable after construction and safe for concurrent
 reads; construction is single-threaded.  An :class:`AggregatedGraph`
-computes its connected components on first use and keeps them: the type is
-frozen, so the memo cannot go stale, and two threads that race on the first
-read both store the same result, so concurrent reads stay harmless.
+computes its connected components and its row blocks on first use and keeps
+them: the type is frozen, so the memo cannot go stale, and two threads that
+race on the first read both store equal results, so concurrent reads stay
+harmless.
+
+The Laplacian product of a graph with many stored entries runs in row
+blocks, one per CPU the process may run on at most: the calling thread
+computes the first block and a module-wide thread pool, started on first
+use and dropped in a forked child, the others.  Each row is summed on its
+own in storage order, so the product has the same bytes for any block count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -252,6 +262,41 @@ class LayerWeights:
         raise TypeError("LayerWeights is not hashable")
 
 
+# Stored entries per row block of the Laplacian product.  Below two blocks'
+# worth (the n = 600 aggregations hold 176 k entries) a split breaks even, so
+# the product stays one CSR pass on the calling thread.
+_BLOCK_ENTRIES = 1 << 17
+
+# No more row blocks than the CPUs the process may run on.
+try:
+    _CPUS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity outside Linux
+    _CPUS = os.cpu_count() or 1
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _block_pool() -> ThreadPoolExecutor:
+    """The pool that computes the row blocks after the first, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=max(_CPUS - 1, 1), thread_name_prefix="mlsgc-matvec")
+        return _pool
+
+
+def _drop_block_pool() -> None:
+    # a forked child inherits the pool but not its threads: submit would
+    # count the parent's idle workers, start none, and the product would
+    # wait; the lock may have been held by a thread the child does not have
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_block_pool)
+
+
 @dataclass(frozen=True, eq=False)
 class AggregatedGraph:
     """A convex combination of the layers of a multilayer graph, or a subgraph
@@ -266,6 +311,11 @@ class AggregatedGraph:
     :meth:`laplacian_matvec` applies it to a vector for ARPACK (applied to
     the columns of the identity, it gives the dense matrix's bytes).  The
     eigensolver takes the graph and uses whichever its solver needs.
+
+    Concurrency: with ``2**18`` stored entries or more, the product runs in
+    row blocks of about ``2**17`` entries, on up to as many threads as the
+    process may use CPUs; it returns on the calling thread with the same
+    bytes as one pass would.
     """
 
     weight_matrix: sparse.csr_array
@@ -287,8 +337,42 @@ class AggregatedGraph:
         return dense
 
     def laplacian_matvec(self, x: np.ndarray) -> np.ndarray:
-        """O(m) product of the Laplacian with a 1-D vector, as ARPACK applies it."""
-        return self.strength * x - self.weight_matrix @ x
+        """O(m) product of the Laplacian with a vector ``(n,)`` or block ``(n, k)``.
+
+        Each column of a block product has the bytes of that column's product
+        alone, and so does the product for any number of row blocks.
+        """
+        strength = self.strength if x.ndim == 1 else self.strength[:, None]
+        first, *rest = self._row_blocks
+        if not rest:
+            return strength * x - self.weight_matrix @ x
+        pending = [_block_pool().submit(block.__matmul__, x) for block in rest]
+        return strength * x - np.concatenate([first @ x, *(product.result() for product in pending)])
+
+    @cached_property
+    def _row_blocks(self) -> tuple[sparse.csr_array, ...]:
+        """Row blocks of the weight matrix with about equal stored entries.
+
+        One block per ``_BLOCK_ENTRIES`` stored entries, at most one per CPU.
+        The blocks share the matrix's ``data`` and ``indices``; only their
+        ``indptr`` slices are rebased to 0.
+        """
+        mat = self.weight_matrix
+        count = min(_CPUS, mat.nnz // _BLOCK_ENTRIES)
+        if count < 2:
+            return (mat,)
+        indptr = mat.indptr
+        cuts = np.searchsorted(indptr, mat.nnz * np.arange(1, count) // count)
+        rows = np.unique(np.concatenate(([0], cuts, [self.n])))
+        blocks = []
+        for start, stop in zip(rows[:-1], rows[1:]):
+            # set after construction: given the slices, the constructor would
+            # copy any that is under half its matrix's arrays
+            block = sparse.csr_array((stop - start, self.n))
+            lo, hi = indptr[start], indptr[stop]
+            block.data, block.indices, block.indptr = mat.data[lo:hi], mat.indices[lo:hi], indptr[start:stop + 1] - lo
+            blocks.append(block)
+        return tuple(blocks)
 
     @cached_property
     def _components(self) -> tuple[int, np.ndarray]:

@@ -220,7 +220,6 @@ def smallest_laplacian_eigs(
         return np.maximum(values, 0.0), vecs
     if rng is None:
         rng = np.random.default_rng(0)
-    # ARPACK applies it to 1-D vectors only: an (n, 1) column would broadcast against strength
     lap = sparse_linalg.LinearOperator((n, n), matvec=g.laplacian_matvec, dtype=np.float64)
     try:
         values, vecs = sparse_linalg.eigsh(lap, k=count, which="SA", v0=rng.standard_normal(n))

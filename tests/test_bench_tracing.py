@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import importlib.util
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mlsgc.cli
+from mlsgc import graph_core
 from mlsgc import LayerWeights, MimosaConfig, TwoLayerCorrelatedParams, generate_two_layer, multilayer_sgc, run_mimosa
 
 from .conftest import connected_random_multilayer
@@ -79,6 +81,31 @@ def test_traced_cli_run_records_one_parse(tracing, tmp_path, capsys):
         tracer.restore()
     assert code == 0, capsys.readouterr().err
     assert [name for name, *_ in tracer.spans].count("graph_core.parse") == 1
+
+
+def test_traced_row_block_products_keep_the_span_tree_and_the_count(tracing, monkeypatch):
+    # the row blocks after the first run on pool threads; only the product on
+    # the solver's thread may count, and no span may open on another thread
+    graph = connected_random_multilayer(np.random.default_rng(23), 600, 2, density=0.02)
+
+    def traced_run():
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            start = time.monotonic()
+            root = tracer.begin("op", start)
+            multilayer_sgc(graph, LayerWeights.uniform(2), 3, seed=0)
+            end = time.monotonic()
+            tracer.end(root, end)
+        finally:
+            tracer.restore()
+        assert tracing.check_span_tree(tracer.spans, root, end - start) == []
+        return tracing.layer_metrics(tracer.spans, tracer.counts)["spectral.matvecs"]
+
+    one_block = traced_run()
+    monkeypatch.setattr(graph_core, "_CPUS", 2)
+    monkeypatch.setattr(graph_core, "_BLOCK_ENTRIES", 1)
+    assert traced_run() == one_block > 0
 
 
 def test_traced_arpack_solve_counts_its_operator_applications(tracing):

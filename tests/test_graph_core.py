@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import io
 import math
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -761,8 +767,128 @@ def test_dense_laplacian_is_byte_equal_to_the_product_on_the_identity(case, data
     for sub in graphs:
         if not np.isfinite(sub.strength).all():  # inf * 0 is nan in the product
             continue
+        dense = sub.laplacian_dense().tobytes()
         columns = np.array([sub.laplacian_matvec(e) for e in np.eye(sub.n)]).reshape(sub.n, sub.n).T
-        assert sub.laplacian_dense().tobytes() == columns.tobytes()
+        assert dense == columns.tobytes()
+        for blocks in (2, 3):
+            with forced_row_blocks(blocks):
+                blocked = AggregatedGraph(sub.weight_matrix, sub.strength)
+                columns = np.array([blocked.laplacian_matvec(e) for e in np.eye(sub.n)]).reshape(sub.n, sub.n).T
+            assert dense == columns.tobytes()
+
+
+@contextmanager
+def forced_row_blocks(blocks):
+    """Split the Laplacian product of graphs built inside into up to ``blocks`` row blocks."""
+    with mock.patch.object(graph_core, "_CPUS", blocks), mock.patch.object(graph_core, "_BLOCK_ENTRIES", 1):
+        yield
+
+
+def test_laplacian_product_of_a_block_of_columns():
+    # an (n, 1) column once broadcast against strength into an (n, n) array
+    rng = np.random.default_rng(7)
+    g = aggregate(random_multilayer(rng, 9, 2), LayerWeights.uniform(2))
+    dense = g.laplacian_dense()
+    x = rng.standard_normal((9, 3))
+    for block in (x[:, 0], x[:, :1], x):
+        product = g.laplacian_matvec(block)
+        assert product.shape == block.shape
+        assert np.allclose(product, dense @ block, rtol=0, atol=1e-12)
+        for column, own in zip(product.reshape(9, -1).T, block.reshape(9, -1).T):
+            assert column.tobytes() == g.laplacian_matvec(np.ascontiguousarray(own)).tobytes()
+
+
+def empty_middle_rows_graph():
+    """Two 10-node cliques with five isolated nodes between them: the half-way
+    split of the stored entries falls at the first isolated row."""
+    rng = np.random.default_rng(11)
+    clique = np.triu(rng.uniform(0.5, 2.0, (10, 10)), 1)
+    mat = np.zeros((25, 25))
+    mat[:10, :10] = mat[15:, 15:] = clique + clique.T
+    return dense_graph(ids(25), mat)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_row_blocks_give_the_same_bytes_and_share_the_matrix(blocks):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((25, 2))
+    for graph in (empty_middle_rows_graph(), random_multilayer(rng, 25, 2)):
+        weights = LayerWeights.uniform(graph.L)
+        whole = aggregate(graph, weights)
+        with forced_row_blocks(blocks):
+            split = aggregate(graph, weights)
+            assert len(split._row_blocks) == blocks
+            for v in (x[:, 0], x):
+                assert split.laplacian_matvec(v).tobytes() == whole.laplacian_matvec(v).tobytes()
+        mat = split.weight_matrix
+        assert sum(block.shape[0] for block in split._row_blocks) == split.n
+        for block in split._row_blocks:
+            assert np.shares_memory(block.data, mat.data) and np.shares_memory(block.indices, mat.indices)
+
+
+def test_a_row_block_may_start_at_an_empty_row():
+    with forced_row_blocks(2):
+        split = aggregate(empty_middle_rows_graph(), LayerWeights.uniform(1))
+        first, second = split._row_blocks
+    assert first.shape[0] == 10 and second.indptr[5] == 0
+
+
+def test_concurrent_first_products_start_one_pool_and_agree(monkeypatch):
+    rng = np.random.default_rng(4)
+    graph = random_multilayer(rng, 60, 2)
+    x = rng.standard_normal(60)
+    expected = aggregate(graph, LayerWeights.uniform(2)).laplacian_matvec(x).tobytes()
+    started = []
+
+    def counted_pool(**kwargs):
+        started.append(kwargs)
+        time.sleep(0.01)  # a slow start: every other caller arrives before the pool is stored
+        return ThreadPoolExecutor(**kwargs)
+
+    monkeypatch.setattr(graph_core, "ThreadPoolExecutor", counted_pool)
+    monkeypatch.setattr(graph_core, "_pool", None)
+    with forced_row_blocks(3):
+        split = aggregate(graph, LayerWeights.uniform(2))
+        assert len(split._row_blocks) == 3
+        gate = threading.Barrier(8)
+
+        def products():
+            gate.wait(timeout=30)
+            return [split.laplacian_matvec(x).tobytes() for _ in range(50)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as callers:
+                results = [future.result(timeout=60) for future in [callers.submit(products) for _ in range(8)]]
+        finally:
+            sys.setswitchinterval(interval)
+    assert len(started) == 1
+    assert all(product == expected for result in results for product in result)
+
+
+def test_pool_forked_child_runs_a_blocked_product():
+    # a child forked after the pool started inherits the pool but none of
+    # its threads; the product must not wait on them
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork on this platform")
+    rng = np.random.default_rng(2)
+    graph = random_multilayer(rng, 40, 2)
+    x = rng.standard_normal(40)
+    with forced_row_blocks(2):
+        expected = aggregate(graph, LayerWeights.uniform(2)).laplacian_matvec(x)
+
+        def child():
+            product = aggregate(graph, LayerWeights.uniform(2)).laplacian_matvec(x)
+            sys.exit(0 if product.tobytes() == expected.tobytes() else 1)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=30)
+        if process.is_alive():
+            process.kill()
+            process.join()
+    assert process.exitcode == 0
 
 
 # ---------------------------------------------------------- normalization

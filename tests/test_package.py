@@ -84,3 +84,26 @@ def test_version_dir_and_unknown_names():
     assert mlsgc.__version__ == "0.1.0"
     assert set(mlsgc.__all__) | set(PUBLIC) <= set(dir(mlsgc))
     assert not hasattr(mlsgc, "no_such_name")
+
+
+def test_import_and_one_block_solves_start_no_thread():
+    # the row-block pool of the Laplacian product starts on a graph's first
+    # multi-block product, never at import, for a dense solve, or for ARPACK
+    # on fewer than two blocks' worth of stored entries (n = 600 here)
+    code = (
+        "import threading\n"
+        "counts = [threading.active_count()]\n"
+        "import numpy as np, mlsgc\n"
+        "counts.append(threading.active_count())\n"
+        "rng = np.random.default_rng(0)\n"
+        "for n in (60, 600):\n"
+        "    upper = np.triu(rng.random((n, n)) < 0.3, 1)\n"
+        "    g = mlsgc.MultilayerGraph.from_matrices([str(i) for i in range(n)], [(upper | upper.T) * 1.0])\n"
+        "    mlsgc.multilayer_sgc(g, mlsgc.LayerWeights.uniform(1), 3, seed=0)\n"
+        "    counts.append(threading.active_count())\n"
+        "print(counts)\n"
+    )
+    env = {"PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out == "[1, 1, 1, 1]\n"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from mlsgc import graph_core, spectral
 from mlsgc import (
+    AggregatedGraph,
     ClusterAssignment,
     ConvergenceError,
     DisconnectedGraphError,
@@ -208,6 +209,16 @@ def test_laplacian_eigs_take_a_count_from_one_to_n(triangle, arpack_graph, vecto
             spectral.smallest_laplacian_eigs(g, count, vectors=vectors)
     got = spectral.smallest_laplacian_eigs(small, 3, vectors=vectors)
     assert (got[0] if vectors else got) == pytest.approx([0.0, 3.0, 3.0], abs=1e-8)
+
+
+def test_arpack_solve_has_the_same_bytes_in_one_row_block_and_in_two(arpack_graph, monkeypatch):
+    one = spectral.smallest_laplacian_eigs(arpack_graph, 4, vectors=True)
+    monkeypatch.setattr(graph_core, "_CPUS", 2)
+    monkeypatch.setattr(graph_core, "_BLOCK_ENTRIES", 1)
+    split = AggregatedGraph(arpack_graph.weight_matrix, arpack_graph.strength)
+    two = spectral.smallest_laplacian_eigs(split, 4, vectors=True)
+    assert len(split._row_blocks) == 2 and len(arpack_graph._row_blocks) == 1
+    assert [a.tobytes() for a in one] == [a.tobytes() for a in two]
 
 
 def test_arpack_failure_becomes_convergence_error(arpack_graph, arpack_fails):
