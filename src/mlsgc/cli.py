@@ -20,6 +20,7 @@ import os
 import sys
 import warnings
 from dataclasses import replace
+from importlib import import_module
 from typing import Sequence
 
 # BLAS sizes its thread pool when numpy is first imported, and a threaded
@@ -34,20 +35,45 @@ import numpy as np  # noqa: E402
 from .graph_core import (
     LayerWeights,
     MultilayerGraph,
+    aggregate,
     degree_normalize,
     parse_label_file,
     parse_multilayer_edge_list,
     serialize_label_file,
     serialize_multilayer_edge_list,
 )
-from .metrics import detectability, metric_report
-from .mimosa import MimosaConfig, adapt_weights, run_mimosa, serialize_result, strict_json
-from .noise_stats import estimate_noise
 from .spectral import ClusterAssignment, ConvergenceError, DisconnectedGraphError, multilayer_sgc, partial_eigenvalue_sum
-from .synth import GeneralRimParams, TwoLayerCorrelatedParams, generate_rim, generate_two_layer
-from .theory import breakdown_condition_holds, breakdown_matrix, critical_bounds, critical_weight_w1, predicted_partial_sum
 
 __all__ = ["main"]
+
+# Names of the modules that only some commands run.  A command binds the
+# names it needs here with ``_load`` on first use, so ``cluster`` imports
+# neither scipy.optimize (metrics) nor the selection and bound code.  Each is
+# also an attribute of this module, bound on first access.
+_DEFERRED = {
+    "metrics": ("detectability", "metric_report"),
+    "mimosa": ("MimosaConfig", "adapt_weights", "run_mimosa", "serialize_result", "strict_json"),
+    "noise_stats": ("estimate_noise",),
+    "synth": ("GeneralRimParams", "TwoLayerCorrelatedParams", "generate_rim", "generate_two_layer"),
+    "theory": ("breakdown_condition_holds", "breakdown_matrix", "cluster_partial_sums", "critical_bounds",
+               "critical_weight_w1", "predicted_partial_sum"),
+}
+
+
+def _load(*modules: str) -> None:
+    """Import ``modules`` and bind their deferred names; a bound name keeps its value."""
+    for module in modules:
+        loaded = import_module(f".{module}", __package__)
+        for name in _DEFERRED[module]:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    for module, names in _DEFERRED.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +230,7 @@ def _generator_from_config(config: dict[str, str]):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    _load("synth", "theory")
     config = parse_config(_read_text(args.params))
     graph, truth = _generator_from_config(config)
     weights = _weights_or_uniform(args.w, graph.L, "--w")
@@ -261,6 +288,7 @@ def _mimosa_config(settings: dict, flags: bool, **fields) -> MimosaConfig:
 
 
 def _cmd_mimosa(args: argparse.Namespace) -> int:
+    _load("mimosa")
     graph = _load_graph(args.edges, args.normalize)
     w_ini = _weights_or_uniform(args.w_ini, graph.L, "--w-ini")
     config = _mimosa_config(vars(args), True, w_ini=w_ini, seed=_at_least(args.seed, 0, "--seed"))
@@ -323,7 +351,9 @@ def _sweep_trial(
     """Sample one graph (seeded by ``params.seed``) and return its statistics
     in ``_SWEEP_COLUMNS`` order: SGC with ``k`` clusters under ``weights``, or
     MIMOSA under ``mimosa`` from ``weights``.  All are nan when MIMOSA declines
-    or SGC's aggregation is disconnected; the latter is warned about."""
+    or SGC's aggregation is disconnected; the latter is warned about.  The
+    bounds are ``critical_bounds``' ``t_lb`` and ``t_ub`` of the planted
+    clusters, computed without its per-layer problems."""
     graph, truth = generate_two_layer(params)
     if mimosa is None:
         try:
@@ -339,12 +369,17 @@ def _sweep_trial(
         found, weights = best.assignment, best.w
         # labels K, K+1, ... are the components outside the clustered one
         s2k_over_n = best.partial_sum / int(best.assignment.sizes[: best.K].sum())
-    bounds = critical_bounds(graph, truth, weights)
+    sums = cluster_partial_sums(aggregate(graph, weights), truth)
+    K = truth.K
+    with np.errstate(invalid="ignore"):  # K == 1 has no transition: 0/0 -> nan
+        t_lb = float(sums.min() / ((K - 1) * truth.n_max))
+        t_ub = float(sums.min() / ((K - 1) * truth.n_min))
     t_w = float(weights.values @ np.array([params.p1, params.p2]))
-    return detectability(found, truth), t_w, bounds.t_lb, bounds.t_ub, s2k_over_n
+    return detectability(found, truth), t_w, t_lb, t_ub, s2k_over_n
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _load("metrics", "mimosa", "synth", "theory")
     config = parse_config(_read_text(args.spec))
     axes = [_parse_axis(_read(config, "axis", "sweep"), "axis", _MAX_GRID_POINTS)]
     if "axis2" in config:
@@ -410,6 +445,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    _load("metrics", "mimosa")
     graph = _load_graph(args.edges, False)
     found = _load_assignment(args.found, graph)
     truth = _load_assignment(args.truth, graph) if args.truth is not None else None
@@ -453,6 +489,7 @@ def _parse_noise_override(text: str, L: int, K: int) -> list[tuple[int, int, int
 
 
 def _cmd_theory_check(args: argparse.Namespace) -> int:
+    _load("mimosa", "noise_stats", "theory")
     graph = _load_graph(args.edges, False)
     assignment = _load_assignment(args.labels, graph)
     if assignment.K < 2:

@@ -75,9 +75,15 @@ def _canonical_csr(matrix: sparse.sparray | sparse.spmatrix | np.ndarray,
     Canonical means: duplicate entries summed, explicit zeros removed, and
     column indices sorted within each row, so equal graphs have byte-equal
     storage.  This happens in place on a CSR ``matrix`` unless ``copy`` is
-    set; any other input is converted into fresh arrays first.
+    set; any other input is converted into fresh arrays first.  The index
+    arrays are int32 whenever every index and offset fits: the Laplacian
+    product then reads 12 bytes per stored entry instead of 16, and scipy
+    keeps that width through sums, slicing and ``csgraph``.
     """
     mat = sparse.csr_array(matrix, shape=(n, n), dtype=np.float64, copy=copy)
+    if max(n, mat.nnz) < 2**31:
+        mat.indices = mat.indices.astype(np.int32, copy=False)
+        mat.indptr = mat.indptr.astype(np.int32, copy=False)
     mat.sum_duplicates()
     mat.eliminate_zeros()
     mat.sort_indices()
@@ -303,7 +309,9 @@ class AggregatedGraph:
     of a weight matrix induced on a node set (:func:`induced_subgraph`).
 
     Attributes:
-        weight_matrix: canonical CSR combined weight matrix.
+        weight_matrix: canonical CSR combined weight matrix, symmetric, as
+            every constructor in this module makes it: the connected
+            components are found as the matrix's strong components.
         strength: per-node strength vector (row sums of ``weight_matrix``).
 
     The graph Laplacian ``diag(strength) - weight_matrix`` is kept implicit:
@@ -376,8 +384,17 @@ class AggregatedGraph:
 
     @cached_property
     def _components(self) -> tuple[int, np.ndarray]:
-        """``csgraph.connected_components`` of the weight matrix, computed once."""
-        n_components, labels = csgraph.connected_components(self.weight_matrix, directed=False)
+        """Connected-component labels of the weight matrix, computed once.
+
+        The strong components of a symmetric matrix are its undirected ones,
+        and finding them builds no transposed copy.  They are numbered in the
+        order of each one's smallest node, as the undirected search numbers
+        them, so the labels equal ``directed=False``'s byte for byte.
+        """
+        n_components, labels = csgraph.connected_components(self.weight_matrix, directed=True, connection="strong")
+        rank = np.empty(n_components, dtype=labels.dtype)
+        rank[np.argsort(np.unique(labels, return_index=True)[1])] = np.arange(n_components)
+        labels = rank[labels]
         labels.setflags(write=False)
         return n_components, labels
 

@@ -428,12 +428,13 @@ def _embed(comp: _Component, K: int, seed: int, z: int) -> SpectralEmbedding:
 
     ``z`` is the step within K: 0 for the initial weights, i for the i-th
     tau.  ARPACK's start vector (components over 512 nodes) derives from
-    (seed, K, z) alone.  A tau step whose weights equal the initial ones
-    solves nothing: it shares the init step's embedding, start vector
-    included.
+    (seed, K, z) alone; ARPACK solves the K pairs the embedding uses, not
+    eigenvalue K+1, which no step reads.  A tau step whose weights equal
+    the initial ones solves nothing: it shares the init step's embedding,
+    start vector included.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, K, z, 0]))
-    return smallest_eigenpairs(comp.agg, K, rng=rng)
+    return smallest_eigenpairs(comp.agg, K, rng=rng, next_eigenvalue=False)
 
 
 def _cluster(embedding: SpectralEmbedding, K: int, seed: int, z: int) -> ClusterAssignment:

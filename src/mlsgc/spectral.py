@@ -66,7 +66,9 @@ class SpectralEmbedding:
             (the entry of largest magnitude is positive).
         eigenvalues: the corresponding eigenvalues, ascending.
         lambda_kplus1: the (K+1)-th smallest eigenvalue, used by the spectral
-            gap in the subspace-perturbation bound.
+            gap in the subspace-perturbation bound; nan when ARPACK was
+            asked for K pairs only (``smallest_eigenpairs(...,
+            next_eigenvalue=False)``, as MIMOSA's candidates ask).
     """
 
     Y: np.ndarray
@@ -235,6 +237,7 @@ def smallest_eigenpairs(
     K: int,
     *,
     rng: np.random.Generator | None = None,
+    next_eigenvalue: bool = True,
 ) -> SpectralEmbedding:
     """Eigenpairs 2..K (plus eigenvalue K+1) of the aggregated Laplacian.
 
@@ -248,6 +251,11 @@ def smallest_eigenpairs(
         K: number of clusters; needs ``2 <= K <= n - 1`` so that eigenvalues
             2..K+1 all exist.
         rng: defaults to a fixed seed so repeated calls are identical.
+        next_eigenvalue: False asks ARPACK (``n > 512`` and ``K + 1 < n``)
+            for K pairs only and leaves ``lambda_kplus1`` nan; pair K+1
+            sits in the bulk of the spectrum, where ARPACK converges
+            slowest.  The dense solver still computes K+1 pairs, so its
+            bits do not depend on this flag.
 
     Raises:
         DisconnectedGraphError: the graph is disconnected (its extra zero
@@ -261,7 +269,9 @@ def smallest_eigenpairs(
     if len(connected_components(g)) != 1:
         raise DisconnectedGraphError("aggregated graph is disconnected")
 
-    eigenvalues, vecs = smallest_laplacian_eigs(g, K + 1, rng=rng, vectors=True)
+    arpack = n > _DENSE_MAX_N and K + 1 < n
+    count = K if arpack and not next_eigenvalue else K + 1
+    eigenvalues, vecs = smallest_laplacian_eigs(g, count, rng=rng, vectors=True)
     Y = vecs[:, 1:K].copy()
     for col in range(Y.shape[1]):
         pivot = int(np.argmax(np.abs(Y[:, col])))
@@ -270,7 +280,8 @@ def smallest_eigenpairs(
     Y.setflags(write=False)
     eig = eigenvalues[1:K].copy()
     eig.setflags(write=False)
-    return SpectralEmbedding(Y=Y, eigenvalues=eig, lambda_kplus1=float(eigenvalues[K]))
+    lambda_kplus1 = float(eigenvalues[K]) if count > K else float("nan")
+    return SpectralEmbedding(Y=Y, eigenvalues=eig, lambda_kplus1=lambda_kplus1)
 
 
 # ---------------------------------------------------------------------------

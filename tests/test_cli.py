@@ -414,6 +414,28 @@ def test_cluster_recovers_bridged_cliques(tmp_path, capsys):
     assert {label_map[node] for node in graph.node_ids[8:]} != groups
 
 
+def test_cluster_imports_only_what_it_runs(tmp_path, capsys):
+    # metrics loads scipy.optimize; selection, noise, bounds and generators
+    # load on the first command that runs them
+    edges, _, _ = cliques_files(tmp_path)
+    code = (
+        "import sys, mlsgc.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('mlsgc.') or m == 'scipy.optimize')\n"
+        "print(loaded(), file=sys.stderr)\n"
+        f"code = mlsgc.cli.main(['cluster', {edges!r}, '--k', '2'])\n"
+        "print(code, loaded(), file=sys.stderr)\n"
+        "print(mlsgc.cli.generate_two_layer is mlsgc.synth.generate_two_layer, loaded(), file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True,
+                          check=True, timeout=120)
+    cli_only = "['mlsgc.cli', 'mlsgc.graph_core', 'mlsgc.spectral']"
+    assert done.stderr.splitlines() == [cli_only, f"0 {cli_only}",
+                                        "True ['mlsgc.cli', 'mlsgc.graph_core', 'mlsgc.spectral', 'mlsgc.synth']"]
+    assert (0, done.stdout) == run_cli(capsys, "cluster", edges, "--k", "2")[:2]
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        mlsgc.cli.no_such_name
+
+
 def test_cluster_rejects_wrong_weight_count(tmp_path, capsys):
     edges, _, _ = cliques_files(tmp_path)
     code, _, err = run_cli(capsys, "cluster", edges, "--k", "2", "--w", "0.5,0.5")

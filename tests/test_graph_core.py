@@ -12,6 +12,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -535,6 +536,38 @@ def test_aggregate_names_the_first_node_whose_strength_overflows():
         with pytest.raises(ValueError, match="strength of node 'a' is not finite"):
             aggregate(g, LayerWeights.uniform(1))
 
+def test_every_constructor_stores_int32_indices():
+    rng = np.random.default_rng(8)
+    weighted = random_multilayer(rng, 40, 2)
+    unweighted = MultilayerGraph.from_matrices(weighted.node_ids, [layer > 0 for layer in weighted.layers])
+    wide = [sparse.csr_array(layer.toarray()) for layer in weighted.layers]
+    for mat in wide:
+        mat.indices, mat.indptr = mat.indices.astype(np.int64), mat.indptr.astype(np.int64)
+    graphs = {
+        "from_matrices": weighted,
+        "from_matrices of int64 input": MultilayerGraph.from_matrices(weighted.node_ids, wide),
+        "from_edges": MultilayerGraph.from_edges(weighted.node_ids, weighted.edges()),
+        "parser": parse_multilayer_edge_list(serialize_multilayer_edge_list(weighted)),
+        "degree_normalize": degree_normalize(unweighted),
+    }
+    matrices = {f"{name} layer {l}": mat for name, g in graphs.items() for l, mat in enumerate(g.layers)}
+    matrices["aggregate"] = aggregate(weighted, LayerWeights.uniform(2)).weight_matrix
+    matrices["aggregate of nothing"] = aggregate(weighted, LayerWeights((1.0, 0.0))).weight_matrix
+    for name, mat in matrices.items():
+        assert (mat.indices.dtype, mat.indptr.dtype) == (np.int32, np.int32), name
+
+
+def test_laplacian_product_has_the_bytes_of_an_int64_copy():
+    rng = np.random.default_rng(6)
+    narrow = aggregate(random_multilayer(rng, 200, 2, density=0.3), LayerWeights((0.3, 0.7)))
+    mat = narrow.weight_matrix.copy()
+    mat.indices, mat.indptr = mat.indices.astype(np.int64), mat.indptr.astype(np.int64)
+    wide = AggregatedGraph(mat, narrow.strength)
+    x = rng.standard_normal((200, 3))
+    for v in (x[:, 0], x):
+        assert narrow.laplacian_matvec(v).tobytes() == wide.laplacian_matvec(v).tobytes()
+
+
 def test_laplacian_linearity_two_routes():
     rng = np.random.default_rng(5)
     g = random_multilayer(rng, 3, 2, density=0.9)
@@ -710,6 +743,44 @@ def test_zero_weight_layer_isolates_node():
     agg = aggregate(g, LayerWeights((1.0, 0.0)))
     comps = connected_components(agg)
     assert sorted(len(c) for c in comps) == [1, 2]
+
+
+def _components_graphs():
+    """Seeded random symmetric graphs with isolated nodes, their induced
+    subgraphs, one node, no node, and nodes without an edge."""
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n = int(rng.integers(2, 120))
+        graph = random_multilayer(rng, n, 2, density=float(rng.uniform(0.002, 0.05)))
+        agg = aggregate(graph, LayerWeights(rng.uniform(0.0, 1.0, 2) + 1e-3))
+        yield agg
+        yield induced_subgraph(agg.weight_matrix, np.flatnonzero(rng.random(n) < 0.7))
+    for n in (1, 0, 5):
+        yield aggregate(dense_graph(ids(n), np.zeros((n, n))), LayerWeights.uniform(1))
+
+
+@pytest.mark.parametrize("numbering", ["scipy", "reversed"])
+def test_component_labels_equal_the_undirected_search(monkeypatch, numbering):
+    # the strong components of a symmetric matrix, numbered by first node,
+    # are the undirected search's labels byte for byte, whichever numbering
+    # the strong search gives them
+    from scipy.sparse import csgraph
+
+    def reversed_numbering(*args, **kwargs):
+        count, labels = csgraph.connected_components(*args, **kwargs)
+        return count, (count - 1 - labels).astype(labels.dtype)
+
+    if numbering == "reversed":
+        monkeypatch.setattr(graph_core, "csgraph", SimpleNamespace(connected_components=reversed_numbering))
+    seen = set()
+    for agg in _components_graphs():
+        count, labels = csgraph.connected_components(agg.weight_matrix, directed=False)
+        got_count, got = agg._components
+        assert got_count == count and got.dtype == labels.dtype and got.tobytes() == labels.tobytes()
+        comps = connected_components(agg)
+        assert [c.tobytes() for c in comps] == [np.flatnonzero(labels == c).tobytes() for c in range(count)]
+        seen.add(min(count, 3))
+    assert seen == {0, 1, 2, 3}
 
 
 # ---------------------------------------------------- induced subgraphs

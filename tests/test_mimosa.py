@@ -32,7 +32,7 @@ from mlsgc import (
     snr,
     vtest_homogeneity,
 )
-from mlsgc import graph_core, mimosa
+from mlsgc import graph_core, mimosa, spectral
 
 
 # --------------------------------------------------------- adapt_weights
@@ -174,6 +174,30 @@ def test_trace_entries_are_recheckable(reliable_three_cluster_result):
             assert rec.t_max_w < rec.t_lb_hat
     ks = [rec.K for rec in result.trace]
     assert ks == sorted(ks)  # K never decreases along the trace
+
+
+def test_candidates_ask_arpack_for_the_k_pairs_they_use(monkeypatch):
+    # a 600-node aggregation takes ARPACK; no step reads eigenvalue K + 1
+    graph, _ = generate_two_layer(TwoLayerCorrelatedParams(
+        cluster_sizes=(200, 200, 200), q11=0.3, q10=0.2, q01=0.1, q00=0.4, p1=0.25, p2=0.25, seed=100,
+    ))
+    asked = []  # [K, k of each ARPACK call] per embedding
+    embed, eigsh = mimosa.smallest_eigenpairs, spectral.sparse_linalg.eigsh
+
+    def embedding(g, K, **kwargs):
+        asked.append([K])
+        return embed(g, K, **kwargs)
+
+    def solve(*args, **kwargs):
+        asked[-1].append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(mimosa, "smallest_eigenpairs", embedding)
+    monkeypatch.setattr(spectral.sparse_linalg, "eigsh", solve)
+    result = run_mimosa(graph, MimosaConfig(seed=0))
+    assert (result.status, result.K) == ("found", 3)
+    assert {K for K, *_ in asked} == {2, 3}
+    assert all(ks == [K] for K, *ks in asked), asked
 
 
 def test_determinism(reliable_three_cluster_result):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg as scipy_linalg
 
 from mlsgc import graph_core, spectral
 from mlsgc import (
@@ -219,6 +220,58 @@ def test_arpack_solve_has_the_same_bytes_in_one_row_block_and_in_two(arpack_grap
     two = spectral.smallest_laplacian_eigs(split, 4, vectors=True)
     assert len(split._row_blocks) == 2 and len(arpack_graph._row_blocks) == 1
     assert [a.tobytes() for a in one] == [a.tobytes() for a in two]
+
+
+def _asked_pairs(monkeypatch) -> list:
+    """The ``k`` of every ARPACK call made after this, in call order."""
+    calls = []
+    eigsh = spectral.sparse_linalg.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.sparse_linalg, "eigsh", counted)
+    return calls
+
+
+def _signed(vectors):
+    """Columns flipped so each one's entry of largest magnitude is positive."""
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(pivots < 0, -1.0, 1.0)
+
+
+def test_arpack_without_the_next_eigenvalue_solves_k_pairs(arpack_graph, monkeypatch):
+    calls = _asked_pairs(monkeypatch)
+    K = 5
+    values, vectors = scipy_linalg.eigh(arpack_graph.laplacian_dense(), subset_by_index=(0, K - 1))
+    emb = smallest_eigenpairs(arpack_graph, K, rng=np.random.default_rng(1), next_eigenvalue=False)
+    assert calls == [K]
+    assert np.isnan(emb.lambda_kplus1)
+    assert np.max(np.abs(emb.eigenvalues - values[1:])) <= 1e-8 * values[-1]
+    assert np.max(np.abs(emb.Y - _signed(vectors[:, 1:]))) <= 1e-8
+
+
+def test_dense_solves_ignore_the_next_eigenvalue_flag(arpack_graph, monkeypatch):
+    # up to 512 nodes, and at K = n - 1 above that, the dense solver runs and
+    # keeps solving K + 1 pairs: the embedding has the default call's bytes
+    small = aggregate(connected_random_multilayer(np.random.default_rng(9), 60, 2), LayerWeights.uniform(2))
+    calls = _asked_pairs(monkeypatch)
+    for g, K in ((small, 4), (arpack_graph, arpack_graph.n - 1)):
+        default = smallest_eigenpairs(g, K)
+        short = smallest_eigenpairs(g, K, next_eigenvalue=False)
+        for a, b in ((default.Y, short.Y), (default.eigenvalues, short.eigenvalues)):
+            assert a.tobytes() == b.tobytes()
+        assert np.float64(default.lambda_kplus1).tobytes() == np.float64(short.lambda_kplus1).tobytes()
+    assert calls == []
+
+
+def test_multilayer_sgc_asks_arpack_for_the_next_eigenvalue(monkeypatch):
+    graph = connected_random_multilayer(np.random.default_rng(23), 600, 2, density=0.02)
+    calls = _asked_pairs(monkeypatch)
+    _, emb = multilayer_sgc(graph, LayerWeights.uniform(2), 3, seed=0)
+    assert calls == [4]
+    assert np.isfinite(emb.lambda_kplus1) and emb.lambda_kplus1 >= emb.eigenvalues[-1]
 
 
 def test_arpack_failure_becomes_convergence_error(arpack_graph, arpack_fails):
