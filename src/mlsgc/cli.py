@@ -9,6 +9,10 @@ Conventions shared by all subcommands:
 * exit codes: 0 success, 2 usage or validation error, 3 model-order
   selection found no reliable clustering, 4 numerical failure;
 * warnings go to stderr as single ``warning: <message>`` lines.
+
+Commands reach the library beyond parsing and clustering through the
+package's lazy namespace (``mlsgc.run_mimosa``), so each imports only the
+modules it runs.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import os
 import sys
 import warnings
 from dataclasses import replace
-from importlib import import_module
 from typing import Sequence
 
 # BLAS sizes its thread pool when numpy is first imported, and a threaded
@@ -31,6 +34,8 @@ for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_variable, "1")
 
 import numpy as np  # noqa: E402
+
+import mlsgc  # noqa: E402
 
 from .graph_core import (
     LayerWeights,
@@ -45,36 +50,6 @@ from .graph_core import (
 from .spectral import ClusterAssignment, ConvergenceError, DisconnectedGraphError, multilayer_sgc, partial_eigenvalue_sum
 
 __all__ = ["main"]
-
-# Names of the modules that only some commands run.  A command binds the
-# names it needs here with ``_load`` on first use, so ``cluster`` imports
-# neither scipy.optimize (metrics) nor the selection and bound code.  Each is
-# also an attribute of this module, bound on first access.
-_DEFERRED = {
-    "metrics": ("detectability", "metric_report"),
-    "mimosa": ("MimosaConfig", "adapt_weights", "run_mimosa", "serialize_result", "strict_json"),
-    "noise_stats": ("estimate_noise",),
-    "synth": ("GeneralRimParams", "TwoLayerCorrelatedParams", "generate_rim", "generate_two_layer"),
-    "theory": ("breakdown_condition_holds", "breakdown_matrix", "cluster_partial_sums", "critical_bounds",
-               "critical_weight_w1", "predicted_partial_sum"),
-}
-
-
-def _load(*modules: str) -> None:
-    """Import ``modules`` and bind their deferred names; a bound name keeps its value."""
-    for module in modules:
-        loaded = import_module(f".{module}", __package__)
-        for name in _DEFERRED[module]:
-            globals().setdefault(name, getattr(loaded, name))
-
-
-def __getattr__(name: str):
-    for module, names in _DEFERRED.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 # ---------------------------------------------------------------------------
 # Small parsing helpers
@@ -202,13 +177,13 @@ def _generator_from_config(config: dict[str, str]):
     kind = config.get("generator", "two_layer")
     seed = _at_least(_read(config, "seed", "generate", int, 0), 0, "generate: seed")
     if kind == "two_layer":
-        params = TwoLayerCorrelatedParams(
+        params = mlsgc.TwoLayerCorrelatedParams(
             **_two_layer_model(config, "generate"),
             p1=_read(config, "p1", "generate", float),
             p2=_read(config, "p2", "generate", float),
             seed=seed,
         )
-        return generate_two_layer(params)
+        return mlsgc.generate_two_layer(params)
     if kind == "rim":
         sizes = _number_list(_read(config, "cluster_sizes", "generate"), "cluster_sizes", int)
         n_layers = _read(config, "n_layers", "generate", int)
@@ -216,7 +191,7 @@ def _generator_from_config(config: dict[str, str]):
         if len({len(row) for row in rows}) > 1:
             raise ValueError(f"within_probs: rows have unequal lengths {[len(row) for row in rows]}")
         means = config.get("noise_weight_means")
-        params = GeneralRimParams(
+        params = mlsgc.GeneralRimParams(
             cluster_sizes=sizes,
             n_layers=n_layers,
             within_probs=np.array(rows),
@@ -225,12 +200,11 @@ def _generator_from_config(config: dict[str, str]):
             weight_distribution=config.get("weight_distribution", "constant"),
             seed=seed,
         )
-        return generate_rim(params)
+        return mlsgc.generate_rim(params)
     raise ValueError(f"generate: unknown generator {kind!r} (expected two_layer or rim)")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    _load("synth", "theory")
     config = parse_config(_read_text(args.params))
     graph, truth = _generator_from_config(config)
     weights = _weights_or_uniform(args.w, graph.L, "--w")
@@ -240,7 +214,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     with open(args.labels, "w", encoding="utf-8") as handle:
         handle.write(serialize_label_file(graph.node_ids, truth.labels))
 
-    bounds = critical_bounds(graph, truth, weights)
+    bounds = mlsgc.critical_bounds(graph, truth, weights)
     out = sys.stdout
     out.write(f"n={graph.n}\n")
     out.write(f"L={graph.L}\n")
@@ -277,23 +251,22 @@ _MIMOSA_SETTINGS = {"tau_set": _number_list, "eta": _convert, "alpha": _scalar_o
                     "alpha_prime": _scalar_or_list, "max_k": lambda text, what: _convert(text, what, int)}
 
 
-def _mimosa_config(settings: dict, flags: bool, **fields) -> MimosaConfig:
+def _mimosa_config(settings: dict, flags: bool, **fields) -> mlsgc.MimosaConfig:
     """``MimosaConfig(**fields)`` with every MIMOSA setting that ``settings``
     holds (not None): the ``mimosa`` command's parsed flags (``flags``, so
     errors name ``--max-k``) or a ``sweep`` spec (errors name ``max_k``)."""
     for key, read in _MIMOSA_SETTINGS.items():
         if settings.get(key) is not None:
             fields[key] = read(settings[key], "--" + key.replace("_", "-") if flags else key)
-    return MimosaConfig(**fields)
+    return mlsgc.MimosaConfig(**fields)
 
 
 def _cmd_mimosa(args: argparse.Namespace) -> int:
-    _load("mimosa")
     graph = _load_graph(args.edges, args.normalize)
     w_ini = _weights_or_uniform(args.w_ini, graph.L, "--w-ini")
     config = _mimosa_config(vars(args), True, w_ini=w_ini, seed=_at_least(args.seed, 0, "--seed"))
-    result = run_mimosa(graph, config)
-    sys.stdout.write(serialize_result(result))
+    result = mlsgc.run_mimosa(graph, config)
+    sys.stdout.write(mlsgc.serialize_result(result))
     return 0 if result.status == "found" else 3
 
 
@@ -346,7 +319,7 @@ def _mean(values: Sequence[float], geometric: bool) -> float:
 
 
 def _sweep_trial(
-    params: TwoLayerCorrelatedParams, weights: LayerWeights, k: int | None, mimosa: MimosaConfig | None
+    params: mlsgc.TwoLayerCorrelatedParams, weights: LayerWeights, k: int | None, mimosa: mlsgc.MimosaConfig | None
 ) -> tuple[float, ...]:
     """Sample one graph (seeded by ``params.seed``) and return its statistics
     in ``_SWEEP_COLUMNS`` order: SGC with ``k`` clusters under ``weights``, or
@@ -354,7 +327,7 @@ def _sweep_trial(
     or SGC's aggregation is disconnected; the latter is warned about.  The
     bounds are ``critical_bounds``' ``t_lb`` and ``t_ub`` of the planted
     clusters, computed without its per-layer problems."""
-    graph, truth = generate_two_layer(params)
+    graph, truth = mlsgc.generate_two_layer(params)
     if mimosa is None:
         try:
             found, embedding = multilayer_sgc(graph, weights, k, seed=params.seed)
@@ -363,23 +336,22 @@ def _sweep_trial(
             return (float("nan"),) * len(_SWEEP_COLUMNS)
         s2k_over_n = partial_eigenvalue_sum(embedding) / graph.n
     else:
-        best = run_mimosa(graph, replace(mimosa, w_ini=weights, seed=params.seed)).selected
+        best = mlsgc.run_mimosa(graph, replace(mimosa, w_ini=weights, seed=params.seed)).selected
         if best is None:
             return (float("nan"),) * len(_SWEEP_COLUMNS)
         found, weights = best.assignment, best.w
         # labels K, K+1, ... are the components outside the clustered one
         s2k_over_n = best.partial_sum / int(best.assignment.sizes[: best.K].sum())
-    sums = cluster_partial_sums(aggregate(graph, weights), truth)
+    sums = mlsgc.cluster_partial_sums(aggregate(graph, weights), truth)
     K = truth.K
     with np.errstate(invalid="ignore"):  # K == 1 has no transition: 0/0 -> nan
         t_lb = float(sums.min() / ((K - 1) * truth.n_max))
         t_ub = float(sums.min() / ((K - 1) * truth.n_min))
     t_w = float(weights.values @ np.array([params.p1, params.p2]))
-    return detectability(found, truth), t_w, t_lb, t_ub, s2k_over_n
+    return mlsgc.detectability(found, truth), t_w, t_lb, t_ub, s2k_over_n
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _load("metrics", "mimosa", "synth", "theory")
     config = parse_config(_read_text(args.spec))
     axes = [_parse_axis(_read(config, "axis", "sweep"), "axis", _MAX_GRID_POINTS)]
     if "axis2" in config:
@@ -413,10 +385,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = []
     for values in itertools.product(*(values for _, values in axes)):
         point = {**fixed, **{name: float(v) for name, v in zip(axis_names, values)}}
-        params = TwoLayerCorrelatedParams(**model, p1=point["p1"], p2=point["p2"])
+        params = mlsgc.TwoLayerCorrelatedParams(**model, p1=point["p1"], p2=point["p2"])
         weights = _layer_weights([point["w1"], 1.0 - point["w1"]], "w1") if "w1" in point else base_w
         if "tau" in point:
-            weights = adapt_weights(weights, np.array([point["p1"], point["p2"]]), point["tau"])
+            weights = mlsgc.adapt_weights(weights, np.array([point["p1"], point["p2"]]), point["tau"])
         grid.append(([_fmt(v) for v in values], params, weights))
     if k is not None and not 2 <= k < params.n:  # every point has the same cluster_sizes
         raise ValueError(f"sweep: k must satisfy 2 <= k <= n-1 = {params.n - 1}, got {k}")
@@ -445,17 +417,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    _load("metrics", "mimosa")
     graph = _load_graph(args.edges, False)
     found = _load_assignment(args.found, graph)
     truth = _load_assignment(args.truth, graph) if args.truth is not None else None
-    report = metric_report(found, graph, truth)
+    report = mlsgc.metric_report(found, graph, truth)
     doc: dict = {"conductance": report.conductance, "nc": report.nc}
     if truth is not None:
         doc["nmi"] = report.nmi
         doc["ri"] = report.ri
         doc["f_measure"] = report.f_measure
-    sys.stdout.write(strict_json(doc))
+    sys.stdout.write(mlsgc.mimosa.strict_json(doc))
     return 0
 
 
@@ -489,24 +460,23 @@ def _parse_noise_override(text: str, L: int, K: int) -> list[tuple[int, int, int
 
 
 def _cmd_theory_check(args: argparse.Namespace) -> int:
-    _load("mimosa", "noise_stats", "theory")
     graph = _load_graph(args.edges, False)
     assignment = _load_assignment(args.labels, graph)
     if assignment.K < 2:
         raise ValueError("theory-check: need at least two clusters in the label file")
     weights = _weights_or_uniform(args.w, graph.L, "--w")
 
-    estimates = estimate_noise(graph, assignment)
+    estimates = mlsgc.estimate_noise(graph, assignment)
     noise = np.stack([estimates.t_hat_matrix(layer) for layer in range(graph.L)])
     if args.noise_override is not None:
         for layer, i, j, t in _parse_noise_override(_read_text(args.noise_override), graph.L, assignment.K):
             noise[layer, i, j] = noise[layer, j, i] = t
 
-    bounds = critical_bounds(graph, assignment, weights)
-    matrix = breakdown_matrix(assignment, noise, weights)
-    holds = breakdown_condition_holds(matrix, graph, assignment, weights)
+    bounds = mlsgc.critical_bounds(graph, assignment, weights)
+    matrix = mlsgc.breakdown_matrix(assignment, noise, weights)
+    holds = mlsgc.breakdown_condition_holds(matrix, graph, assignment, weights)
     t_hat_w = float(weights.values @ estimates.t_hat_layer)
-    lo, hi = predicted_partial_sum(t_hat_w, bounds)
+    lo, hi = mlsgc.predicted_partial_sum(t_hat_w, bounds)
 
     doc: dict = {
         "bounds": {
@@ -531,9 +501,9 @@ def _cmd_theory_check(args: argparse.Namespace) -> int:
     if graph.L == 2:
         t1, t2 = estimates.t_hat_layer
         s1, s2 = bounds.layer_partial_sums.min(axis=1) / graph.n
-        solution = critical_weight_w1(float(t1), float(t2), float(s1), float(s2), assignment.K)
+        solution = mlsgc.critical_weight_w1(float(t1), float(t2), float(s1), float(s2), assignment.K)
         doc["critical_weight"] = {"w1": solution.value, "degenerate": solution.degenerate}
-    sys.stdout.write(strict_json(doc))
+    sys.stdout.write(mlsgc.mimosa.strict_json(doc))
     return 0
 
 

@@ -241,9 +241,13 @@ class LayerWeights:
             raise ValueError("layer weights must be finite")
         if np.any(values < 0.0):
             raise ValueError("layer weights must be nonnegative")
-        total = values.sum()
+        with np.errstate(over="ignore"):
+            total = values.sum()
         if total <= 0.0:
             raise ValueError("layer weights must have a positive sum")
+        if not math.isfinite(total):  # entries near the float maximum: scale them down first
+            values = values / values.max()
+            total = values.sum()
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-12):
             values = values / total
         values.setflags(write=False)
@@ -539,6 +543,25 @@ def _unlabelable(node: str) -> bool:
     return node[:1].strip() in ("", "#")
 
 
+def _check_writable(node_ids: Iterable[str]) -> None:
+    """Raise ValueError naming the first node id the parsers would not read back."""
+    for node in node_ids:
+        if _unlabelable(node) or "\t" in node or node.splitlines() != [node]:
+            raise ValueError(
+                f"node id {node!r} cannot be written: it must be non-empty, not start with whitespace or '#', "
+                "and hold no tab or line break"
+            )
+
+
+def _records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The line number and fields of each stripped line that is not blank or
+    a "#" comment: split on tabs if it has one, else on whitespace."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line.split("\t") if "\t" in line else line.split()
+
+
 def _raise_first_error(text: str) -> NoReturn:
     """Raise the error of the first offending line of a rejected edge list.
 
@@ -548,11 +571,7 @@ def _raise_first_error(text: str) -> NoReturn:
     """
     seen: set[tuple[int, str, str]] = set()
     unlabelable: tuple[int, str] | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t") if "\t" in line else line.split()
+    for line_no, fields in _records(text):
         if len(fields) != 4:
             raise EdgeListFormatError(
                 f"line {line_no}: expected 4 fields (layer, u, v, weight), got {len(fields)}"
@@ -595,7 +614,9 @@ def serialize_multilayer_edge_list(graph: MultilayerGraph) -> str:
     Rows are the columns of :meth:`MultilayerGraph.edges`, sorted by
     (layer, u-index, v-index) with u < v, so a parse -> serialize -> parse
     round trip is the identity and serialization is byte-deterministic.
+    A node id the parser would not read back raises ValueError.
     """
+    _check_writable(graph.node_ids)
     node_ids = np.array(graph.node_ids, dtype=object)
     return "".join(
         "".join(map(f"{layer}\t{{}}\t{{}}\t{{!r}}\n".format, node_ids[u], node_ids[v], w.tolist()))
@@ -616,11 +637,7 @@ def parse_label_file(source: str | IO[str]) -> dict[str, str]:
     """
     text = source.read() if hasattr(source, "read") else source
     mapping: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t") if "\t" in line else line.split()
+    for line_no, fields in _records(text):
         if len(fields) != 2:
             raise LabelFileError(f"line {line_no}: expected 2 fields (node, label), got {len(fields)}")
         node, label = fields
@@ -631,9 +648,11 @@ def parse_label_file(source: str | IO[str]) -> dict[str, str]:
 
 
 def serialize_label_file(node_ids: Sequence[str], labels: Sequence[int] | np.ndarray) -> str:
-    """Serialize per-node integer labels as a node-label file, in node order."""
+    """Serialize per-node integer labels as a node-label file, in node order;
+    a node id the parser would not read back raises ValueError."""
     if len(node_ids) != len(labels):
         raise ValueError("node_ids and labels must have the same length")
+    _check_writable(node_ids)
     return "".join(f"{node}\t{int(label)}\n" for node, label in zip(node_ids, labels))
 
 

@@ -250,12 +250,15 @@ class GeneralRimParams:
         noise_w = self._noise_spec(self.noise_weight_means, "noise_weight_means", 1.0)
         if not np.all((noise_p >= 0.0) & (noise_p <= 1.0)):
             raise ValueError("noise_probs must be in [0, 1]")
-        # only blocks above the diagonal are sampled; an (L, 1, 1) spec stands for all of them
-        bad = (noise_p > 0.0) & ~((noise_w > 0.0) & np.isfinite(noise_w))
+        # only blocks above the diagonal are sampled; an (L, 1, 1) spec stands for all of them.
+        # A uniform weight is drawn from [0, 2 * mean], so twice the mean must be finite too.
+        largest = float(np.finfo(np.float64).max) / (2.0 if self.weight_distribution == "uniform" else 1.0)
+        bad = (noise_p > 0.0) & ~((noise_w > 0.0) & (noise_w <= largest))
         if bad.shape[1] > 1:
             bad = np.triu(bad, k=1)
         if K > 1 and bad.any():
-            raise ValueError("noise_weight_means must be positive and finite wherever noise_probs is positive")
+            bound = "finite" if self.weight_distribution == "constant" else f"at most {largest!r}"
+            raise ValueError(f"noise_weight_means must be positive and {bound} wherever noise_probs is positive")
         # read-only (L, K, K) views; a compact spec is broadcast, not copied
         object.__setattr__(self, "_noise_p", np.broadcast_to(noise_p, (L, K, K)))
         object.__setattr__(self, "_noise_w", np.broadcast_to(noise_w, (L, K, K)))

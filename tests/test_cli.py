@@ -350,6 +350,18 @@ def test_generate_rim_names_within_probs(tmp_path, capsys, within, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_generate_rejects_a_uniform_mean_whose_double_overflows(tmp_path, capsys):
+    # used to end in numpy's OverflowError traceback, exit 1
+    rim = RIM_PARAMS + "noise_weight_means = 1e308\nweight_distribution = uniform\n"
+    params = write(tmp_path / "rim.cfg", rim)
+    code, out, err = run_cli(
+        capsys, "generate", params, "--edges", str(tmp_path / "g.tsv"), "--labels", str(tmp_path / "g.labels")
+    )
+    assert (code, out) == (2, "")
+    assert err == ("error: noise_weight_means must be positive and at most 8.988465674311579e+307 wherever "
+                   "noise_probs is positive\n")
+
+
 @pytest.mark.parametrize("text, old, new", [
     (GENERATE_PARAMS, "q11 = 0.3", "q11 = nan"),
     (RIM_PARAMS, "0.8,0.8;0.7,0.7", "0.8,nan;0.7,0.7"),
@@ -424,7 +436,7 @@ def test_cluster_imports_only_what_it_runs(tmp_path, capsys):
         "print(loaded(), file=sys.stderr)\n"
         f"code = mlsgc.cli.main(['cluster', {edges!r}, '--k', '2'])\n"
         "print(code, loaded(), file=sys.stderr)\n"
-        "print(mlsgc.cli.generate_two_layer is mlsgc.synth.generate_two_layer, loaded(), file=sys.stderr)\n"
+        "print(mlsgc.generate_two_layer is mlsgc.synth.generate_two_layer, loaded(), file=sys.stderr)\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True,
                           check=True, timeout=120)
@@ -436,11 +448,71 @@ def test_cluster_imports_only_what_it_runs(tmp_path, capsys):
         mlsgc.cli.no_such_name
 
 
+_CLI_MODULES = ["mlsgc.cli", "mlsgc.graph_core", "mlsgc.spectral"]
+_SELECTION_MODULES = ["mlsgc.mimosa", "mlsgc.noise_stats", "mlsgc.theory"]
+_EVALUATE_MODULES = sorted(["mlsgc.metrics", *_SELECTION_MODULES, "scipy.optimize"])
+
+
+# the modules each command adds to those of ``import mlsgc.cli``
+_COMMAND_MODULES = {
+    "cluster": [],
+    "generate": ["mlsgc.synth", "mlsgc.theory"],
+    "mimosa": _SELECTION_MODULES,
+    "theory-check": _SELECTION_MODULES,
+    "evaluate": _EVALUATE_MODULES,
+    "sweep": sorted([*_EVALUATE_MODULES, "mlsgc.synth"]),
+    "sweep-sgc": ["mlsgc.metrics", "mlsgc.synth", "mlsgc.theory", "scipy.optimize"],
+}
+
+
+@pytest.mark.parametrize("command", _COMMAND_MODULES)
+def test_each_command_imports_only_what_it_runs(tmp_path, command):
+    # commands reach the library through the package's lazy namespace, so
+    # each loads the modules it runs and no others
+    edges, labels, _ = cliques_files(tmp_path)
+    argv = {
+        "cluster": [edges, "--k", "2"],
+        "generate": [write(tmp_path / "params.cfg", GENERATE_PARAMS),
+                     "--edges", str(tmp_path / "g.tsv"), "--labels", str(tmp_path / "g.labels")],
+        "mimosa": [edges, "--max-k", "3"],
+        "theory-check": [edges, labels],
+        "evaluate": [edges, labels, "--truth", labels],
+        "sweep": [write(tmp_path / "sweep.cfg", MIMOSA_SWEEP_SPEC)],
+        # an sgc sweep with no tau axis runs no selection code
+        "sweep-sgc": [write(tmp_path / "sgc.cfg", SWEEP_SPEC)],
+    }[command]
+    code = (
+        "import sys, mlsgc.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('mlsgc.') or m == 'scipy.optimize')\n"
+        "print(loaded(), file=sys.stderr)\n"
+        f"code = mlsgc.cli.main({[command.partition('-sgc')[0], *argv]!r})\n"
+        "print(code, loaded(), file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True,
+                          check=True, timeout=120)
+    lines = done.stderr.splitlines()
+    assert lines[0] == str(_CLI_MODULES)
+    exit_code, _, after = lines[-1].partition(" ")
+    assert exit_code in ("0", "3"), done.stderr
+    assert after == str(sorted([*_CLI_MODULES, *_COMMAND_MODULES[command]]))
+
+
 def test_cluster_rejects_wrong_weight_count(tmp_path, capsys):
     edges, _, _ = cliques_files(tmp_path)
     code, _, err = run_cli(capsys, "cluster", edges, "--k", "2", "--w", "0.5,0.5")
     assert code == 2
     assert "error:" in err
+
+
+def test_cluster_reads_weights_whose_sum_overflows_as_equal_weights(tmp_path, capsys):
+    # the sum was inf, so every weight came out 0: an overflow warning, then
+    # "aggregated graph is disconnected", exit 2
+    edges, _, _ = cliques_files(tmp_path)
+    text = Path(edges).read_text()
+    two_layers = write(tmp_path / "two.tsv", text + "".join("1" + line[1:] for line in text.splitlines(True)))
+    huge = run_cli(capsys, "cluster", two_layers, "--k", "2", "--w", "1e308,1e308")
+    assert huge == run_cli(capsys, "cluster", two_layers, "--k", "2", "--w", "1,1")
+    assert huge[0] == 0 and huge[2] == ""
 
 
 def test_cluster_normalize_flag(tmp_path, capsys):
@@ -732,7 +804,7 @@ def test_sweep_is_deterministic(tmp_path, capsys, spec, header, points, trials):
 ], ids=["sgc-k", "mimosa-max_k", "w-length", "last-grid-point", "w-and-w1", "w1-axis-and-w"])
 def test_sweep_reads_every_key_before_sampling(tmp_path, capsys, monkeypatch, spec, message):
     calls = []
-    monkeypatch.setattr(mlsgc.cli, "generate_two_layer", lambda params: calls.append(params))
+    monkeypatch.setattr(mlsgc, "generate_two_layer", lambda params: calls.append(params))
     code, out, err = run_cli(capsys, "sweep", write(tmp_path / "bad.cfg", spec))
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert calls == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import multiprocessing
+import re
 import sys
 import threading
 import time
@@ -142,6 +143,24 @@ def test_label_file_round_trip():
 
 
 UNLABELABLE_ID = "must be non-empty and not start with whitespace or '#'"
+
+
+@pytest.mark.parametrize("bad", [" a", "#a", "", "a\tb", "a\nb", "a\n", "a\x1cb", "a\u2028b"])
+def test_writers_reject_an_id_the_parsers_would_not_read_back(bad):
+    # " a" read back from a label file as "a", "#a" as a comment, and a tab
+    # or line boundary made both files unparseable
+    g = MultilayerGraph.from_matrices(["z", bad], [adjacency_from_edges(2, [(0, 1)])])
+    message = f"node id {bad!r} cannot be written"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize_multilayer_edge_list(g)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize_label_file(g.node_ids, [0, 1])
+
+
+def test_writers_keep_ids_with_inner_and_trailing_spaces():
+    g = MultilayerGraph.from_matrices(["a b", "c ", "z"], [adjacency_from_edges(3, [(0, 1), (1, 2)])])
+    assert parse_multilayer_edge_list(serialize_multilayer_edge_list(g)) == g
+    assert parse_label_file(serialize_label_file(g.node_ids, [0, 1, 2])) == {"a b": "0", "c ": "1", "z": "2"}
 
 
 def test_parse_rejects_id_starting_with_hash():
@@ -588,6 +607,25 @@ def test_layer_weights_normalize_and_validate():
         LayerWeights((-1.0, 2.0))
     with pytest.raises(ValueError):
         LayerWeights((0.0, 0.0))
+
+
+def test_layer_weights_whose_sum_overflows_stay_on_the_simplex():
+    # the sum was inf, so every weight came out 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert LayerWeights((1e308, 1e308)).values.tolist() == [0.5, 0.5]
+        assert LayerWeights((1e308, 1e308, 0.0, 1e308 / 2)).values.tolist() == [0.4, 0.4, 0.0, 0.2]
+
+
+def test_aggregate_stores_no_entry_for_a_weight_that_underflows():
+    # the only bridge is a layer-0 edge of 1e-320, which 1e-10 rounds to 0
+    g = parse_multilayer_edge_list("0 a b 1\n0 b c 1e-320\n0 c d 1\n1 a b 1\n1 c d 1\n")
+    agg = aggregate(g, LayerWeights((1e-10, 1.0)))
+    assert agg.weight_matrix.nnz == 4
+    assert np.all(agg.weight_matrix.data > 0.0)
+    assert agg.weight_matrix[1, 2] == 0.0
+    assert [c.tolist() for c in connected_components(agg)] == [[0, 1], [2, 3]]
+    assert len(connected_components(aggregate(g, LayerWeights.uniform(2)))) == 1
 
 
 @given(

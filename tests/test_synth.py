@@ -350,6 +350,19 @@ def test_rim_params_reject_non_finite(spec):
         GeneralRimParams(cluster_sizes=(10, 10), n_layers=1, **spec)
 
 
+def test_rim_params_reject_a_uniform_mean_whose_double_overflows():
+    # rng.uniform(0, 2 * mean) raised OverflowError while sampling
+    spec = dict(cluster_sizes=(3, 3), n_layers=1, within_probs=np.full((1, 2), 0.5), noise_probs=0.1)
+    with pytest.raises(ValueError, match="noise_weight_means must be positive and at most 8.988465674311579e"):
+        GeneralRimParams(**spec, noise_weight_means=1e308, weight_distribution="uniform")
+    # the largest mean whose double is finite, a constant weight, and an unsampled block all pass
+    graph, _ = generate_rim(GeneralRimParams(**spec, noise_weight_means=8.988465674311579e307,
+                                             weight_distribution="uniform"))
+    assert np.all(np.isfinite(graph.layers[0].data))
+    GeneralRimParams(**spec, noise_weight_means=1e308)
+    GeneralRimParams(**{**spec, "noise_probs": 0.0}, noise_weight_means=1e308, weight_distribution="uniform")
+
+
 def test_rim_compact_noise_specs_read_as_their_dense_expansion():
     # scalar and per-layer specs stay compact; every block reads the value a
     # dense (L, K, K) expansion holds, and a full array reads back verbatim
