@@ -15,11 +15,20 @@ them: the type is frozen, so the memo cannot go stale, and two threads that
 race on the first read both store equal results, so concurrent reads stay
 harmless.
 
-The Laplacian product of a graph with many stored entries runs in row
-blocks, one per CPU the process may run on at most: the calling thread
-computes the first block and a module-wide thread pool, started on first
-use and dropped in a forked child, the others.  Each row is summed on its
-own in storage order, so the product has the same bytes for any block count.
+One module-wide thread pool, started on first use and dropped in a forked
+child, has one worker per CPU the process may run on, less one for the
+calling thread, and as many tokens.  Work goes to a worker only when the
+worker is idle: whoever takes a token without waiting submits one task, and
+the task hands the token back when it ends.  The Laplacian product of a
+graph with many stored entries runs in row blocks, one per CPU at most; the
+calling thread computes the first block, and each other block goes to an
+idle worker or, when none is idle, is computed on the calling thread too.
+Each row is summed on its own in storage order, so the product has the same
+bytes for any block count and any split between threads.
+:func:`run_tasks` runs independent tasks, such as whole eigensolves, on the
+calling thread and, when one is idle, one worker; while that worker runs
+them, the products find one worker fewer idle (none on two CPUs) and run
+on their own threads.
 """
 
 from __future__ import annotations
@@ -27,11 +36,12 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from typing import IO, Iterable, Iterator, NoReturn, Sequence
+from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 import numpy as np
 from scipy import sparse
@@ -51,6 +61,7 @@ __all__ = [
     "induced_subgraph",
     "parse_label_file",
     "parse_multilayer_edge_list",
+    "run_tasks",
     "serialize_label_file",
     "serialize_multilayer_edge_list",
 ]
@@ -277,34 +288,92 @@ class LayerWeights:
 # the product stays one CSR pass on the calling thread.
 _BLOCK_ENTRIES = 1 << 17
 
-# No more row blocks than the CPUs the process may run on.
+# No more row blocks, and no more busy threads, than the CPUs the process may run on.
 try:
     _CPUS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity outside Linux
     _CPUS = os.cpu_count() or 1
-_pool: ThreadPoolExecutor | None = None
+_pool: tuple[ThreadPoolExecutor, threading.Semaphore] | None = None  # the workers and their idle tokens
 _pool_lock = threading.Lock()
 
+_T = TypeVar("_T")
 
-def _block_pool() -> ThreadPoolExecutor:
-    """The pool that computes the row blocks after the first, started on first use."""
+
+def _submit_if_idle(fn: Callable[..., _T], *args) -> Future | None:
+    """``fn(*args)`` on an idle pool worker, or None when no worker is idle.
+
+    The pool and its ``_CPUS - 1`` tokens are made on first use, its threads
+    on first submit.  A task holds its token until it ends, so it never
+    waits in the pool's queue behind another.
+    """
     global _pool
+    if _CPUS < 2:
+        return None
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=max(_CPUS - 1, 1), thread_name_prefix="mlsgc-matvec")
-        return _pool
+            _pool = (ThreadPoolExecutor(max_workers=_CPUS - 1, thread_name_prefix="mlsgc-worker"),
+                     threading.Semaphore(_CPUS - 1))
+        pool, tokens = _pool
+    if not tokens.acquire(blocking=False):
+        return None
+    return pool.submit(_holding_token, tokens, fn, *args)
 
 
-def _drop_block_pool() -> None:
+def _holding_token(tokens: threading.Semaphore, fn: Callable[..., _T], *args) -> _T:
+    try:
+        return fn(*args)
+    finally:
+        tokens.release()
+
+
+def _drop_pool() -> None:
     # a forked child inherits the pool but not its threads: submit would
     # count the parent's idle workers, start none, and the product would
-    # wait; the lock may have been held by a thread the child does not have
+    # wait; the tokens of the parent's running tasks would never come back,
+    # and the lock may have been held by a thread the child does not have
     global _pool, _pool_lock
     _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_block_pool)
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def run_tasks(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
+    """Run independent tasks and return their results in list order.
+
+    The calling thread and, when one is idle, one pool worker take the
+    tasks from a shared queue in list order, so at most two run at once.
+    When tasks raise, the queue stops, and the first of them in list order
+    raises here once the tasks already started have ended.  So the results
+    and the error are those of running the tasks one after another on the
+    calling thread.
+    """
+    results: list = [None] * len(tasks)
+    errors: dict[int, Exception] = {}
+    queue = deque(range(len(tasks)))  # popleft is thread-safe: each task goes to one thread
+
+    def pull() -> None:
+        while not errors:
+            try:
+                index = queue.popleft()
+            except IndexError:
+                return
+            try:
+                results[index] = tasks[index]()
+            except Exception as err:
+                errors[index] = err
+
+    helper = _submit_if_idle(pull) if len(tasks) > 1 else None
+    try:
+        pull()
+    finally:
+        queue.clear()  # after an interrupt here, the worker stops after its task
+        if helper is not None:
+            helper.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,9 +394,10 @@ class AggregatedGraph:
     eigensolver takes the graph and uses whichever its solver needs.
 
     Concurrency: with ``2**18`` stored entries or more, the product runs in
-    row blocks of about ``2**17`` entries, on up to as many threads as the
-    process may use CPUs; it returns on the calling thread with the same
-    bytes as one pass would.
+    row blocks of about ``2**17`` entries, at most one per CPU the process
+    may use.  A block after the first goes to an idle pool worker; when no
+    worker is idle the calling thread computes the whole product in one
+    pass.  It returns on the calling thread with the same bytes either way.
     """
 
     weight_matrix: sparse.csr_array
@@ -356,10 +426,11 @@ class AggregatedGraph:
         """
         strength = self.strength if x.ndim == 1 else self.strength[:, None]
         first, *rest = self._row_blocks
-        if not rest:
+        handed = [_submit_if_idle(block.__matmul__, x) for block in rest]
+        if not any(handed):  # no worker is idle: one pass on this thread
             return strength * x - self.weight_matrix @ x
-        pending = [_block_pool().submit(block.__matmul__, x) for block in rest]
-        return strength * x - np.concatenate([first @ x, *(product.result() for product in pending)])
+        parts = [first @ x, *(block @ x if future is None else future for block, future in zip(rest, handed))]
+        return strength * x - np.concatenate([part.result() if isinstance(part, Future) else part for part in parts])
 
     @cached_property
     def _row_blocks(self) -> tuple[sparse.csr_array, ...]:

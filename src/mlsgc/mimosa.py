@@ -104,6 +104,9 @@ class MimosaConfig:
             levels = (value,) if np.isscalar(value) else tuple(float(a) for a in value)
             if any(not 0.0 < a < 1.0 for a in levels):
                 raise ValueError(f"{name} levels must be in (0, 1)")
+            tiny = [float(a) for a in levels if 1.0 - a == 1.0]
+            if name == "alpha" and tiny:  # the identical-noise test's quantile needs 1 - alpha < 1
+                raise ValueError(f"alpha level {tiny[0]} is too small: 1 - alpha rounds to 1.0")
             if not np.isscalar(value):
                 object.__setattr__(self, name, levels)
         if self.max_k is not None:

@@ -258,12 +258,15 @@ def glrt_identical_noise(estimates: NoiseEstimates, layer: int, alpha: float = 0
     zero and the test accepts trivially with statistic 0.
 
     Raises:
-        ValueError: bad layer index or alpha outside (0, 1).
+        ValueError: bad layer index, alpha outside (0, 1), or alpha so
+            small that ``1 - alpha`` rounds to 1.0.
     """
     if not 0 <= layer < estimates.L:
         raise ValueError(f"layer index {layer} out of range for L={estimates.L}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"significance level must be in (0, 1), got {alpha}")
+    if 1.0 - alpha == 1.0:
+        raise ValueError(f"alpha level {float(alpha)} is too small: 1 - alpha rounds to 1.0")
     P = len(estimates.pairs)
     dof = P - 1
     if dof == 0:

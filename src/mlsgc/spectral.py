@@ -31,6 +31,7 @@ __all__ = [
     "ConvergenceError",
     "DisconnectedGraphError",
     "SpectralEmbedding",
+    "arpack_solves",
     "kmeans",
     "multilayer_sgc",
     "partial_eigenvalue_sum",
@@ -181,6 +182,12 @@ class ClusterAssignment:
 _DENSE_MAX_N = 512
 
 
+def arpack_solves(n: int, count: int) -> bool:
+    """Whether :func:`smallest_laplacian_eigs` solves for ``count`` pairs of
+    an ``n``-node graph with ARPACK; else it solves the dense Laplacian."""
+    return n > _DENSE_MAX_N and count < n
+
+
 def smallest_laplacian_eigs(
     g: AggregatedGraph,
     count: int,
@@ -214,7 +221,7 @@ def smallest_laplacian_eigs(
     n = g.n
     if not 1 <= count <= n:
         raise ValueError(f"count must satisfy 1 <= count <= n = {n}, got {count}")
-    if n <= _DENSE_MAX_N or count >= n:
+    if not arpack_solves(n, count):
         dense = g.laplacian_dense()
         if not vectors:
             return np.maximum(np.linalg.eigvalsh(dense)[:count], 0.0)
@@ -269,7 +276,7 @@ def smallest_eigenpairs(
     if len(connected_components(g)) != 1:
         raise DisconnectedGraphError("aggregated graph is disconnected")
 
-    arpack = n > _DENSE_MAX_N and K + 1 < n
+    arpack = arpack_solves(n, K + 1)
     count = K if arpack and not next_eigenvalue else K + 1
     eigenvalues, vecs = smallest_laplacian_eigs(g, count, rng=rng, vectors=True)
     Y = vecs[:, 1:K].copy()

@@ -20,11 +20,13 @@ level ``t_w``.  This module computes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy import sparse
 
-from .graph_core import AggregatedGraph, LayerWeights, MultilayerGraph, aggregate, induced_subgraph
-from .spectral import ClusterAssignment, SpectralEmbedding, smallest_laplacian_eigs
+from .graph_core import AggregatedGraph, LayerWeights, MultilayerGraph, aggregate, induced_subgraph, run_tasks
+from .spectral import ClusterAssignment, SpectralEmbedding, arpack_solves, smallest_laplacian_eigs
 
 __all__ = [
     "ClusterTooSmallError",
@@ -89,11 +91,40 @@ def _partial_sum(g: AggregatedGraph, K: int) -> float:
     return float(np.sum(smallest_laplacian_eigs(g, K)[1:K]))
 
 
+def _cluster_sum(weight_matrix: sparse.csr_array, nodes: np.ndarray, K: int) -> float:
+    return _partial_sum(induced_subgraph(weight_matrix, nodes), K)
+
+
+def _layer_cluster_sum(layer: sparse.csr_array, nodes: np.ndarray, K: int) -> float | np.ndarray | Exception:
+    """The partial sum of a cluster's subgraph in one layer; the cluster's
+    nodes whose strength overflows instead, or the error of the solve."""
+    sub = induced_subgraph(layer, nodes)
+    overflowed = nodes[~np.isfinite(sub.strength)]
+    if overflowed.size:
+        return overflowed
+    try:
+        return _partial_sum(sub, K)
+    except Exception as err:  # raised by critical_bounds after the layer's overflow check
+        return err
+
+
+def _solve_all(tasks: list, assignment: ClusterAssignment) -> list:
+    """Run one eigensolve task per cluster (or per layer and cluster).
+
+    ARPACK-sized clusters share the calling thread with an idle pool worker;
+    dense LAPACK solves, which gain nothing from it, run in order here.
+    """
+    if arpack_solves(assignment.n_min, assignment.K):
+        return run_tasks(tasks)
+    return [task() for task in tasks]
+
+
 def cluster_partial_sums(agg: AggregatedGraph, assignment: ClusterAssignment) -> np.ndarray:
     """Partial eigenvalue sums ``lambda_2+..+lambda_K`` per aggregated cluster.
 
     For each cluster, sums eigenvalues 2..K of the Laplacian of its
-    within-cluster subgraph of ``agg``.
+    within-cluster subgraph of ``agg``.  When every cluster is solved with
+    ARPACK, two clusters are solved at once if a CPU is idle.
 
     Raises:
         ValueError: the assignment does not cover the node set.
@@ -106,8 +137,8 @@ def cluster_partial_sums(agg: AggregatedGraph, assignment: ClusterAssignment) ->
         raise ClusterTooSmallError(
             f"every cluster needs at least K={K} nodes; smallest has {assignment.n_min}"
         )
-    sums = np.array([_partial_sum(induced_subgraph(agg.weight_matrix, assignment.members(k)), K)
-                     for k in range(K)])
+    sums = np.array(_solve_all([partial(_cluster_sum, agg.weight_matrix, assignment.members(k), K)
+                                for k in range(K)], assignment))
     sums.setflags(write=False)
     return sums
 
@@ -127,25 +158,39 @@ def critical_bounds(
     where ``S_k`` is the partial eigenvalue sum of cluster k's within
     subgraph.  With equal cluster sizes ``t_lb == t_ub``.
 
+    The K aggregated solves run first, then the L*K per-layer ones.  When
+    every cluster is solved with ARPACK, each batch runs two solves at once
+    if a CPU is idle (:func:`~mlsgc.graph_core.run_tasks`); the bounds have
+    the same bytes either way.  Dense solves run one after another.
+
     Raises:
         ValueError: the assignment does not cover the node set, or a node's
             within-cluster strength in some layer overflows to infinity
-            (naming the layer and its first such node).
+            (naming the first such layer and its first such node).
         ClusterTooSmallError: some cluster has fewer than K nodes.
+        ConvergenceError: ARPACK failed; of the per-layer solves, the
+            first in (layer, cluster) order that failed, and only when no
+            strength of its layer overflows.
     """
     sums = cluster_partial_sums(aggregate(graph, weights), assignment)
     K = assignment.K
     n_min, n_max = assignment.n_min, assignment.n_max
 
     members = [assignment.members(k) for k in range(K)]
+    outcomes = _solve_all([partial(_layer_cluster_sum, mat, idx, K) for mat in graph.layers for idx in members],
+                          assignment)
     per_layer = np.empty((graph.L, K))
-    for layer, mat in enumerate(graph.layers):
-        subgraphs = [induced_subgraph(mat, idx) for idx in members]
-        overflowed = np.concatenate([idx[~np.isfinite(sub.strength)] for idx, sub in zip(members, subgraphs)])
-        if overflowed.size:
-            raise ValueError(f"layer {layer}: within-cluster strength of node {graph.node_ids[overflowed.min()]!r} "
+    for layer in range(graph.L):
+        row = outcomes[layer * K:(layer + 1) * K]
+        overflowed = [nodes for nodes in row if isinstance(nodes, np.ndarray)]
+        if overflowed:
+            raise ValueError(f"layer {layer}: within-cluster strength of node "
+                             f"{graph.node_ids[np.concatenate(overflowed).min()]!r} "
                              "is not finite: its edge weights are too large")
-        per_layer[layer] = [_partial_sum(sub, K) for sub in subgraphs]
+        for error in row:
+            if isinstance(error, Exception):
+                raise error
+        per_layer[layer] = row
     per_layer.setflags(write=False)
 
     with np.errstate(invalid="ignore"):  # K == 1 has no transition: 0/0 -> nan
@@ -189,6 +234,10 @@ def breakdown_matrix(
 
     When every layer's blocks share one level t, this reduces to
     ``n * t * I``.  The matrix is generally nonsymmetric.
+
+    Raises:
+        ValueError: ``noise_levels`` has the wrong shape, or an entry of the
+            matrix is not finite (the levels are too large, or not finite).
     """
     K = assignment.K
     noise_levels = np.asarray(noise_levels, dtype=np.float64)
@@ -196,16 +245,20 @@ def breakdown_matrix(
         raise ValueError(
             f"noise_levels must have shape (L, K, K) = {(len(weights), K, K)}, got {noise_levels.shape}"
         )
-    t_agg = np.tensordot(weights.values, noise_levels, axes=1)
     sizes = assignment.sizes
     M = np.empty((K - 1, K - 1))
-    for i in range(K - 1):
-        diag = (sizes[i] + sizes[K - 1]) * t_agg[i, K - 1]
-        diag += sum(sizes[z] * t_agg[i, z] for z in range(K - 1) if z != i)
-        M[i, i] = diag
-        for j in range(K - 1):
-            if j != i:
-                M[i, j] = sizes[i] * (t_agg[i, K - 1] - t_agg[i, j])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, with the entry named
+        t_agg = np.tensordot(weights.values, noise_levels, axes=1)
+        for i in range(K - 1):
+            diag = (sizes[i] + sizes[K - 1]) * t_agg[i, K - 1]
+            diag += sum(sizes[z] * t_agg[i, z] for z in range(K - 1) if z != i)
+            M[i, i] = diag
+            for j in range(K - 1):
+                if j != i:
+                    M[i, j] = sizes[i] * (t_agg[i, K - 1] - t_agg[i, j])
+    if not np.isfinite(M).all():
+        i, j = np.argwhere(~np.isfinite(M))[0]
+        raise ValueError(f"breakdown matrix entry ({i}, {j}) is {M[i, j]}: the noise levels are too large")
     return M
 
 

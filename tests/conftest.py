@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from unittest import mock
 
 # BLAS sizes its thread pool when numpy is first imported; one thread keeps
 # test timings comparable (an unpinned OpenBLAS spins under contention)
@@ -12,7 +14,7 @@ for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest
 
-from mlsgc import spectral
+from mlsgc import graph_core, spectral
 from mlsgc import (
     ClusterAssignment,
     LayerWeights,
@@ -120,3 +122,15 @@ def arpack_fails(monkeypatch):
         )
 
     monkeypatch.setattr(spectral.sparse_linalg, "eigsh", no_convergence)
+
+
+@contextmanager
+def fresh_pool(cpus):
+    """Run with a worker pool made anew for ``cpus`` CPUs (``cpus - 1`` idle
+    workers), shut down on exit; the process's own pool is put back."""
+    with mock.patch.object(graph_core, "_CPUS", cpus), mock.patch.object(graph_core, "_pool", None):
+        try:
+            yield
+        finally:
+            if graph_core._pool is not None:
+                graph_core._pool[0].shutdown()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import threading
 import time
 from pathlib import Path
 
@@ -10,10 +11,19 @@ import numpy as np
 import pytest
 
 import mlsgc.cli
-from mlsgc import graph_core
-from mlsgc import LayerWeights, MimosaConfig, TwoLayerCorrelatedParams, generate_two_layer, multilayer_sgc, run_mimosa
+from mlsgc import graph_core, spectral
+from mlsgc import (
+    ClusterAssignment,
+    LayerWeights,
+    MimosaConfig,
+    TwoLayerCorrelatedParams,
+    critical_bounds,
+    generate_two_layer,
+    multilayer_sgc,
+    run_mimosa,
+)
 
-from .conftest import connected_random_multilayer
+from .conftest import connected_random_multilayer, fresh_pool
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -121,3 +131,39 @@ def test_traced_arpack_solve_counts_its_operator_applications(tracing):
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
     assert metrics["spectral.eigensolve_calls"] == 1
     assert metrics["spectral.matvecs"] > 0
+
+
+def test_traced_concurrent_cluster_solves_keep_the_span_tree_and_count_every_solve(tracing, monkeypatch):
+    # the bounds' ARPACK solves run two at once, one on a pool thread; that
+    # thread opens no span, and each of its solves still counts
+    rng = np.random.default_rng(8)
+    labels = np.repeat(np.arange(3), 40)
+    graph = connected_random_multilayer(rng, labels.size, 2, density=0.3)
+    monkeypatch.setattr(spectral, "_DENSE_MAX_N", 30)
+    threads = []
+    gate = threading.Barrier(2)
+    eigsh = spectral.sparse_linalg.eigsh
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        if len(threads) <= 2:  # the first two solves pass only together
+            gate.wait(timeout=30)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.sparse_linalg, "eigsh", recorded)
+    tracer = tracing.Tracer()
+    with fresh_pool(2):
+        try:
+            tracer.install()
+            start = time.monotonic()
+            root = tracer.begin("theory.bounds", start)
+            critical_bounds(graph, ClusterAssignment(labels), LayerWeights.uniform(2))
+            end = time.monotonic()
+            tracer.end(root, end)
+        finally:
+            tracer.restore()
+    assert len(set(threads)) == 2
+    assert tracing.check_span_tree(tracer.spans, root, end - start) == []
+    assert [name for name, *_ in tracer.spans] == ["theory.bounds", "graph_core.aggregate", "theory.partial_sums"]
+    metrics = tracing.layer_metrics(tracer.spans, tracer.counts)
+    assert (metrics["theory.sparse_solves"], metrics["theory.dense_solves"]) == (3 + 2 * 3, 0)

@@ -590,6 +590,17 @@ def test_mimosa_deterministic_output(generated, capsys):
     assert docs[0] == docs[1]
 
 
+def test_mimosa_names_an_alpha_whose_complement_rounds_to_one(generated, capsys):
+    # used to exit 2 with "probability must be in (0, 1), got 1.0" from inside the run
+    edges, _, _ = generated
+    code, out, err = run_cli(capsys, "mimosa", edges, "--alpha", "1e-17", "--max-k", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: alpha level 1e-17 is too small: 1 - alpha rounds to 1.0\n"
+    code, out, err = run_cli(capsys, "mimosa", edges, "--alpha-prime", "1e-17", "--max-k", "3")
+    assert code == 0, err
+    assert parse_result(out)["K"] == 3
+
+
 def test_mimosa_names_a_negative_seed(generated, capsys):
     # used to print MimosaConfig's "seed must be nonnegative"
     edges, _, _ = generated
@@ -994,6 +1005,18 @@ def test_theory_check_noise_override_changes_breakdown(tmp_path, capsys):
     doc = json.loads(out)
     # K=2: the 1x1 breakdown matrix is n * t with the overridden level
     assert doc["breakdown"]["matrix"][0][0] == pytest.approx(16 * 0.5)
+
+
+def test_theory_check_names_an_overflowing_noise_override(generated, tmp_path, capsys):
+    # used to print two overflow warnings, then "numerical failure: Array
+    # must not contain infs or NaNs" with exit 4
+    edges, labels, _ = generated
+    override = write(tmp_path / "override.txt", "0 0 1 1e308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "theory-check", edges, labels, "--noise-override", override)
+    assert (code, out, [str(w.message) for w in caught]) == (2, "", [])
+    assert err == "error: breakdown matrix entry (0, 0) is inf: the noise levels are too large\n"
 
 
 def test_theory_check_cluster_too_small(tmp_path, capsys):

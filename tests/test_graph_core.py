@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -39,9 +40,10 @@ from mlsgc import (
     serialize_multilayer_edge_list,
 )
 from mlsgc import graph_core
-from mlsgc.graph_core import MAX_LAYERS, induced_subgraph
+from mlsgc.graph_core import MAX_LAYERS, induced_subgraph, run_tasks
+from mlsgc.spectral import smallest_laplacian_eigs
 
-from .conftest import adjacency_from_edges, balanced_assignment, dense_graph, ids, random_multilayer
+from .conftest import adjacency_from_edges, balanced_assignment, dense_graph, fresh_pool, ids, random_multilayer
 
 
 # ---------------------------------------------------------------- parsing
@@ -978,26 +980,136 @@ def test_concurrent_first_products_start_one_pool_and_agree(monkeypatch):
 
 def test_pool_forked_child_runs_a_blocked_product():
     # a child forked after the pool started inherits the pool but none of
-    # its threads; the product must not wait on them
+    # its threads, and none of the tokens its busy workers hold; the product
+    # must not wait on them, and two tasks must still run at once
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork on this platform")
     rng = np.random.default_rng(2)
     graph = random_multilayer(rng, 40, 2)
     x = rng.standard_normal(40)
-    with forced_row_blocks(2):
-        expected = aggregate(graph, LayerWeights.uniform(2)).laplacian_matvec(x)
+    release = threading.Event()
+    with fresh_pool(2), forced_row_blocks(2):
+        agg = aggregate(graph, LayerWeights.uniform(2))
+        expected = agg.laplacian_matvec(x)
+        spectrum = smallest_laplacian_eigs(agg, 3)
+        busy = graph_core._submit_if_idle(release.wait, 30)  # the parent's one worker is busy at the fork
 
         def child():
             product = aggregate(graph, LayerWeights.uniform(2)).laplacian_matvec(x)
-            sys.exit(0 if product.tobytes() == expected.tobytes() else 1)
+            gate = threading.Barrier(2)
 
-        process = multiprocessing.get_context("fork").Process(target=child)
-        process.start()
-        process.join(timeout=30)
-        if process.is_alive():
-            process.kill()
-            process.join()
-    assert process.exitcode == 0
+            def solve():
+                gate.wait(timeout=10)  # both tasks wait here: it passes only if two run at once
+                return smallest_laplacian_eigs(aggregate(graph, LayerWeights.uniform(2)), 3)
+
+            solves = run_tasks([solve, solve])
+            same = product.tobytes() == expected.tobytes() and all(s.tobytes() == spectrum.tobytes() for s in solves)
+            sys.exit(0 if same else 1)
+
+        try:
+            process = multiprocessing.get_context("fork").Process(target=child)
+            process.start()
+            process.join(timeout=30)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        finally:
+            release.set()
+            busy.result(timeout=30)
+    assert busy is not None and process.exitcode == 0
+
+
+def test_run_tasks_runs_two_at_once_and_returns_results_in_order():
+    gate = threading.Barrier(2)
+
+    def task(i):
+        if i < 2:
+            gate.wait(timeout=30)  # passes only when the first two tasks run at once
+        return i, threading.get_ident()
+
+    with fresh_pool(2):
+        results = run_tasks([partial(task, i) for i in range(6)])
+    assert [i for i, _ in results] == list(range(6))
+    assert len({ident for _, ident in results[:2]}) == 2
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_tasks_raises_the_first_error_in_list_order(cpus):
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        if i == 1:
+            time.sleep(0.05)  # on two threads, task 2 raises first
+        if i in (1, 2):
+            raise ValueError(f"task {i}")
+        return i
+
+    with fresh_pool(cpus), pytest.raises(ValueError, match=r"^task 1$"):
+        run_tasks([partial(task, i) for i in range(6)])
+    if cpus == 1:
+        assert ran == [0, 1]
+    assert 5 not in ran
+
+
+def test_concurrent_callers_of_run_tasks_share_the_workers_and_return_every_token():
+    rng = np.random.default_rng(9)
+    graph = random_multilayer(rng, 30, 2)
+    x = rng.standard_normal(30)
+    expected = aggregate(graph, LayerWeights.uniform(2)).laplacian_matvec(x).tobytes()
+    with fresh_pool(3), forced_row_blocks(3):
+        split = aggregate(graph, LayerWeights.uniform(2))
+        assert len(split._row_blocks) == 3
+
+        def caller(base):  # tasks and their products take tokens from one another
+            return run_tasks([partial(lambda i: (i, split.laplacian_matvec(x).tobytes()), base + i)
+                              for i in range(20)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as callers:
+                results = [future.result(timeout=60) for future in [callers.submit(caller, 100 * c) for c in range(6)]]
+        finally:
+            sys.setswitchinterval(interval)
+        tokens = graph_core._pool[1]
+        assert [tokens.acquire(blocking=False) for _ in range(3)] == [True, True, False]
+    assert results == [[(100 * c + i, expected) for i in range(20)] for c in range(6)]
+
+
+def test_one_cpu_or_one_task_runs_on_the_calling_thread():
+    here = threading.get_ident()
+    with fresh_pool(1):
+        assert run_tasks([threading.get_ident] * 3) == [here] * 3
+        assert graph_core._pool is None
+    with fresh_pool(2):
+        assert run_tasks([threading.get_ident]) == [here]
+        assert graph_core._pool is None
+
+
+def test_busy_workers_leave_tasks_and_products_to_the_calling_thread():
+    rng = np.random.default_rng(6)
+    graph = random_multilayer(rng, 30, 2)
+    x = rng.standard_normal(30)
+    whole = aggregate(graph, LayerWeights.uniform(2)).laplacian_matvec(x)
+    here = threading.get_ident()
+    release = threading.Event()
+    with fresh_pool(2), forced_row_blocks(2):
+        split = aggregate(graph, LayerWeights.uniform(2))
+        assert len(split._row_blocks) == 2
+        busy = graph_core._submit_if_idle(release.wait, 30)
+        try:
+            assert graph_core._submit_if_idle(len, ()) is None
+            idents = run_tasks([threading.get_ident] * 3)
+            product = split.laplacian_matvec(x)
+        finally:
+            release.set()
+        assert busy.result(timeout=30) is True
+        # the worker's token came back with its result: the next product splits again
+        handed = graph_core._submit_if_idle(threading.get_ident)
+        assert handed is not None and handed.result(timeout=30) != here
+    assert idents == [here] * 3
+    assert product.tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------- normalization

@@ -492,6 +492,16 @@ def test_config_validation():
     assert MimosaConfig(max_k=np.int64(3), seed=np.uint32(7)).seed == 7
 
 
+def test_config_rejects_an_alpha_whose_complement_rounds_to_one():
+    # the identical-noise test's quantile at 1 - alpha used to fail mid-run
+    # with "probability must be in (0, 1), got 1.0"
+    for alpha, tiny in ((1e-17, "1e-17"), ((0.05, 5e-17), "5e-17")):
+        with pytest.raises(ValueError, match=rf"^alpha level {tiny} is too small: 1 - alpha rounds to 1\.0$"):
+            MimosaConfig(alpha=alpha)
+    assert MimosaConfig(alpha=1e-16).alpha == 1e-16
+    assert MimosaConfig(alpha_prime=1e-17).alpha_prime == 1e-17
+
+
 def test_default_tau_grid():
     config = MimosaConfig()
     assert config.tau_set == (0.0, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5)

@@ -241,6 +241,13 @@ def test_glrt_identical_noise_accepted_on_typical_draw():
     assert res.dof == 2
 
 
+def test_glrt_rejects_an_alpha_whose_complement_rounds_to_one():
+    est = estimate_noise(*three_cluster_noise_graph(np.random.default_rng(4), 20, 0.2, 0.2, 0.2))
+    with pytest.raises(ValueError, match=r"^alpha level 1e-17 is too small: 1 - alpha rounds to 1\.0$"):
+        glrt_identical_noise(est, 0, alpha=1e-17)
+    assert glrt_identical_noise(est, 0, alpha=1e-16).threshold > glrt_identical_noise(est, 0, alpha=0.05).threshold
+
+
 def test_glrt_heterogeneous_noise_rejected():
     rejections = 0
     for trial in range(5):

@@ -87,9 +87,10 @@ def test_version_dir_and_unknown_names():
 
 
 def test_import_and_one_block_solves_start_no_thread():
-    # the row-block pool of the Laplacian product starts on a graph's first
-    # multi-block product, never at import, for a dense solve, or for ARPACK
-    # on fewer than two blocks' worth of stored entries (n = 600 here)
+    # the worker pool starts on a graph's first multi-block product or on
+    # ARPACK-sized cluster solves, never at import, for a dense solve, for
+    # ARPACK on fewer than two blocks' worth of stored entries (n = 600
+    # here), for theory's dense cluster solves or for MIMOSA on 600 nodes
     code = (
         "import threading\n"
         "counts = [threading.active_count()]\n"
@@ -101,9 +102,15 @@ def test_import_and_one_block_solves_start_no_thread():
         "    g = mlsgc.MultilayerGraph.from_matrices([str(i) for i in range(n)], [(upper | upper.T) * 1.0])\n"
         "    mlsgc.multilayer_sgc(g, mlsgc.LayerWeights.uniform(1), 3, seed=0)\n"
         "    counts.append(threading.active_count())\n"
+        "g, truth = mlsgc.generate_two_layer(mlsgc.TwoLayerCorrelatedParams(cluster_sizes=(200, 200, 200),\n"
+        "    q11=0.3, q10=0.2, q01=0.1, q00=0.4, p1=0.25, p2=0.25, seed=100))\n"
+        "mlsgc.critical_bounds(g, truth, mlsgc.LayerWeights.uniform(2))\n"
+        "counts.append(threading.active_count())\n"
+        "mlsgc.run_mimosa(g, mlsgc.MimosaConfig(seed=0, max_k=3))\n"
+        "counts.append(threading.active_count())\n"
         "print(counts)\n"
     )
     env = {"PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120).stdout
-    assert out == "[1, 1, 1, 1]\n"
+    assert out == "[1, 1, 1, 1, 1, 1]\n"

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import threading
+import warnings
+from contextlib import ExitStack
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlsgc import (
+    ClusterAssignment,
     ClusterTooSmallError,
+    ConvergenceError,
     GeneralRimParams,
     LayerWeights,
     aggregate,
@@ -23,8 +30,9 @@ from mlsgc import (
     smallest_eigenpairs,
     subspace_perturbation_bound,
 )
+from mlsgc import graph_core, spectral, theory
 
-from .conftest import balanced_assignment, dense_graph, ids
+from .conftest import balanced_assignment, dense_graph, fresh_pool, ids
 
 
 def large_cluster_graph():
@@ -165,6 +173,111 @@ def test_critical_bounds_above_dense_cutoff_are_deterministic():
     assert np.array_equal(first.layer_partial_sums, second.layer_partial_sums)
 
 
+# Clusters of 40, 45 and 50 nodes, ARPACK-sized under a dense cutoff of 30.
+RAGGED_SIZES = (40, 45, 50)
+
+
+def ragged_graph(overflow=()):
+    """Two layers over three shuffled clusters.  Layer 0's edges weigh 1 and
+    layer 1's weigh 3; each node in ``overflow`` gets two layer-1 edges of
+    1e308 inside its cluster, so its layer-1 strength (not its aggregated
+    one) overflows."""
+    rng = np.random.default_rng(12)
+    labels = rng.permutation(np.repeat(np.arange(3), RAGGED_SIZES))
+    n = labels.size
+    same = labels[:, None] == labels[None, :]
+    layers = []
+    for weight in (1.0, 3.0):
+        upper = np.triu(rng.random((n, n)) < np.where(same, 0.5, 0.05), 1) * weight
+        layers.append(upper + upper.T)
+    for node in overflow:
+        for mate in np.flatnonzero(same[node] & (np.arange(n) != node))[:2]:
+            layers[1][node, mate] = layers[1][mate, node] = 1e308
+    return dense_graph(ids(n), *layers), ClusterAssignment(labels)
+
+
+def bound_bytes(bounds):
+    return {name: np.asarray(getattr(bounds, name)).tobytes() for name in bounds.__dataclass_fields__}
+
+
+@pytest.fixture
+def arpack_clusters(monkeypatch):
+    monkeypatch.setattr(spectral, "_DENSE_MAX_N", 30)
+
+
+@pytest.mark.parametrize("blocks", [None, 1], ids=["one-pass", "row-blocks"])
+def test_bounds_have_the_same_bytes_whether_solves_run_together_or_not(arpack_clusters, blocks):
+    graph, asn = ragged_graph()
+    w = LayerWeights((0.3, 0.7))
+    results = {}
+    for cpus in (1, 2, 3):
+        with ExitStack() as stack:
+            stack.enter_context(fresh_pool(cpus))
+            if blocks:  # every product splits: its blocks meet the solves' worker
+                stack.enter_context(mock.patch.object(graph_core, "_BLOCK_ENTRIES", blocks))
+            results[cpus] = (bound_bytes(critical_bounds(graph, asn, w)),
+                             cluster_partial_sums(aggregate(graph, w), asn).tobytes())
+    assert results[2] == results[1] and results[3] == results[1]
+
+
+def test_arpack_cluster_solves_run_two_at_once_and_dense_ones_in_order(arpack_clusters, monkeypatch):
+    graph, asn = ragged_graph()
+    solve = theory.smallest_laplacian_eigs
+    threads = []
+    gate = threading.Barrier(2)
+
+    def recorded(g, count):
+        threads.append(threading.get_ident())
+        if len(threads) <= 2:  # the first two solves pass only together
+            gate.wait(timeout=30)
+        return solve(g, count)
+
+    monkeypatch.setattr(theory, "smallest_laplacian_eigs", recorded)
+    with fresh_pool(2):
+        critical_bounds(graph, asn, LayerWeights.uniform(2))
+        assert len(threads) == 3 + 2 * 3 and len(set(threads)) == 2
+        monkeypatch.setattr(spectral, "_DENSE_MAX_N", 512)
+        critical_bounds(graph, asn, LayerWeights.uniform(2))
+    assert threads[9:] == [threading.get_ident()] * 9
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_bound_errors_come_in_layer_then_cluster_order(arpack_clusters, monkeypatch, cpus):
+    # per layer, an overflowing strength (the smallest such node of any
+    # cluster) wins over the layer's failed solves; a failed solve of a
+    # layer wins over the next layer's overflow
+    probe, asn = ragged_graph()
+    members = [asn.members(k) for k in range(3)]
+    late, early = members[1][5], members[2][members[2] < members[1][5]][0]  # cluster 2 holds the smaller node
+    graph, _ = ragged_graph(overflow=(late, early))
+    solve = theory.smallest_laplacian_eigs
+    failing = set()
+
+    def failed_solves(g, count):
+        data = g.weight_matrix.data
+        layer = 0 if np.all(data == 1.0) else 1 if np.all(data == 3.0) else None
+        if (layer, g.n) in failing:
+            raise ConvergenceError(f"layer {layer}, {g.n} nodes", residual=float("nan"))
+        return solve(g, count)
+
+    monkeypatch.setattr(theory, "smallest_laplacian_eigs", failed_solves)
+    w = LayerWeights((0.9, 0.1))  # the aggregated products stay below overflow
+    overflow = rf"^layer 1: within-cluster strength of node '{graph.node_ids[early]}' is not finite"
+    with fresh_pool(cpus):
+        with pytest.raises(ValueError, match=overflow):
+            critical_bounds(graph, asn, w)
+        failing.add((1, 40))  # layer 1's cluster 0 has no overflowing node
+        with pytest.raises(ValueError, match=overflow):
+            critical_bounds(graph, asn, w)
+        failing.update({(0, 45), (0, 50)})
+        with pytest.raises(ConvergenceError, match=r"^layer 0, 45 nodes$"):
+            critical_bounds(graph, asn, w)
+        failing.clear()
+        failing.update({(1, 40), (1, 50)})
+        with pytest.raises(ConvergenceError, match=r"^layer 1, 40 nodes$"):
+            critical_bounds(probe, asn, w)
+
+
 def test_layer_partial_sums_are_single_layer_cluster_sums():
     g, asn = large_cluster_graph()
     bounds = critical_bounds(g, asn, LayerWeights.uniform(2))
@@ -241,6 +354,17 @@ def test_breakdown_k2_single_pair():
     M = breakdown_matrix(asn, levels, LayerWeights.uniform(1))
     assert M.shape == (1, 1)
     assert M[0, 0] == pytest.approx((4 + 6) * 0.3)
+
+
+@pytest.mark.parametrize("level", [1e308, float("inf"), float("nan")])
+def test_breakdown_names_an_entry_that_is_not_finite(level):
+    asn = balanced_assignment([4, 6, 5])
+    levels = np.full((2, 3, 3), 0.1)
+    levels[1, 0, 2] = levels[1, 2, 0] = level
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^breakdown matrix entry \(0, 0\) is (inf|nan): the noise levels are too large$"):
+            breakdown_matrix(asn, levels, LayerWeights((0.5, 0.5)))
 
 
 def test_breakdown_linear_in_noise():
