@@ -465,6 +465,7 @@ def _cmd_theory_check(args: argparse.Namespace) -> int:
     if assignment.K < 2:
         raise ValueError("theory-check: need at least two clusters in the label file")
     weights = _weights_or_uniform(args.w, graph.L, "--w")
+    mlsgc.ClusterTooSmallError.check(assignment)  # before estimate_noise's O(n K) arrays
 
     estimates = mlsgc.estimate_noise(graph, assignment)
     noise = np.stack([estimates.t_hat_matrix(layer) for layer in range(graph.L)])

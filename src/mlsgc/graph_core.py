@@ -17,18 +17,11 @@ harmless.
 
 One module-wide thread pool, started on first use and dropped in a forked
 child, has one worker per CPU the process may run on, less one for the
-calling thread, and as many tokens.  Work goes to a worker only when the
-worker is idle: whoever takes a token without waiting submits one task, and
-the task hands the token back when it ends.  The Laplacian product of a
-graph with many stored entries runs in row blocks, one per CPU at most; the
-calling thread computes the first block, and each other block goes to an
-idle worker or, when none is idle, is computed on the calling thread too.
+calling thread.  :func:`run_tasks` is its only entry: the calling thread and
+every idle worker take a list's tasks from one queue.  The Laplacian product
+runs its row blocks as such tasks, and theory its ARPACK cluster solves.
 Each row is summed on its own in storage order, so the product has the same
 bytes for any block count and any split between threads.
-:func:`run_tasks` runs independent tasks, such as whole eigensolves, on the
-calling thread and, when one is idle, one worker; while that worker runs
-them, the products find one worker fewer idle (none on two CPUs) and run
-on their own threads.
 """
 
 from __future__ import annotations
@@ -37,10 +30,10 @@ import math
 import os
 import threading
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, compress, repeat
+from functools import cached_property, partial
+from itertools import chain, compress, islice, repeat
 from typing import IO, Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 import numpy as np
@@ -299,8 +292,8 @@ _pool_lock = threading.Lock()
 _T = TypeVar("_T")
 
 
-def _submit_if_idle(fn: Callable[..., _T], *args) -> Future | None:
-    """``fn(*args)`` on an idle pool worker, or None when no worker is idle.
+def _submit_if_idle(fn: Callable[..., _T], *args):
+    """The future of ``fn(*args)`` on an idle pool worker, or None when no worker is idle.
 
     The pool and its ``_CPUS - 1`` tokens are made on first use, its threads
     on first submit.  A task holds its token until it ends, so it never
@@ -327,10 +320,9 @@ def _holding_token(tokens: threading.Semaphore, fn: Callable[..., _T], *args) ->
 
 
 def _drop_pool() -> None:
-    # a forked child inherits the pool but not its threads: submit would
-    # count the parent's idle workers, start none, and the product would
-    # wait; the tokens of the parent's running tasks would never come back,
-    # and the lock may have been held by a thread the child does not have
+    # a forked child inherits the pool but not its threads: its tasks would
+    # never start, the tokens of the parent's running tasks would never come
+    # back, and the lock may have been held by a thread the child does not have
     global _pool, _pool_lock
     _pool, _pool_lock = None, threading.Lock()
 
@@ -342,12 +334,12 @@ if hasattr(os, "register_at_fork"):
 def run_tasks(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
     """Run independent tasks and return their results in list order.
 
-    The calling thread and, when one is idle, one pool worker take the
-    tasks from a shared queue in list order, so at most two run at once.
-    When tasks raise, the queue stops, and the first of them in list order
-    raises here once the tasks already started have ended.  So the results
-    and the error are those of running the tasks one after another on the
-    calling thread.
+    The calling thread and every idle pool worker, up to one fewer than the
+    tasks, take the tasks from one queue in list order: one thread per CPU
+    at most.  When tasks raise, the queue stops, and the first of them in
+    list order raises here once the tasks already started have ended.  So
+    the results and the error are those of running the tasks one after
+    another on the calling thread.
     """
     results: list = [None] * len(tasks)
     errors: dict[int, Exception] = {}
@@ -364,12 +356,13 @@ def run_tasks(tasks: Sequence[Callable[[], _T]]) -> list[_T]:
             except Exception as err:
                 errors[index] = err
 
-    helper = _submit_if_idle(pull) if len(tasks) > 1 else None
+    # idle workers, one per task after the first, until none is idle
+    helpers = list(islice(iter(partial(_submit_if_idle, pull), None), len(tasks) - 1))
     try:
         pull()
     finally:
-        queue.clear()  # after an interrupt here, the worker stops after its task
-        if helper is not None:
+        queue.clear()  # after an interrupt here, each worker stops after its task
+        for helper in helpers:
             helper.result()
     if errors:
         raise errors[min(errors)]
@@ -393,11 +386,9 @@ class AggregatedGraph:
     the columns of the identity, it gives the dense matrix's bytes).  The
     eigensolver takes the graph and uses whichever its solver needs.
 
-    Concurrency: with ``2**18`` stored entries or more, the product runs in
-    row blocks of about ``2**17`` entries, at most one per CPU the process
-    may use.  A block after the first goes to an idle pool worker; when no
-    worker is idle the calling thread computes the whole product in one
-    pass.  It returns on the calling thread with the same bytes either way.
+    Concurrency: with ``2**18`` stored entries or more, the product runs as
+    :func:`run_tasks` tasks, row blocks of about ``2**17`` entries, at most
+    one per CPU, with the same bytes however many find an idle worker.
     """
 
     weight_matrix: sparse.csr_array
@@ -425,12 +416,10 @@ class AggregatedGraph:
         alone, and so does the product for any number of row blocks.
         """
         strength = self.strength if x.ndim == 1 else self.strength[:, None]
-        first, *rest = self._row_blocks
-        handed = [_submit_if_idle(block.__matmul__, x) for block in rest]
-        if not any(handed):  # no worker is idle: one pass on this thread
+        blocks = self._row_blocks
+        if len(blocks) == 1:
             return strength * x - self.weight_matrix @ x
-        parts = [first @ x, *(block @ x if future is None else future for block, future in zip(rest, handed))]
-        return strength * x - np.concatenate([part.result() if isinstance(part, Future) else part for part in parts])
+        return strength * x - np.concatenate(run_tasks([partial(block.__matmul__, x) for block in blocks]))
 
     @cached_property
     def _row_blocks(self) -> tuple[sparse.csr_array, ...]:

@@ -181,6 +181,10 @@ class ClusterAssignment:
 
 _DENSE_MAX_N = 512
 
+# Above this strength, the product of a unit vector, at most 2 * max(strength)
+# in size, comes within a factor 4 of overflow: ARPACK is refused the graph.
+_ARPACK_MAX_STRENGTH = np.finfo(np.float64).max / 8
+
 
 def arpack_solves(n: int, count: int) -> bool:
     """Whether :func:`smallest_laplacian_eigs` solves for ``count`` pairs of
@@ -215,8 +219,8 @@ def smallest_laplacian_eigs(
 
     Raises:
         ValueError: ``count`` is not in ``1..n``.
-        ConvergenceError: ARPACK failed; ``residual`` is nan because ARPACK
-            reports none.
+        ConvergenceError: ARPACK failed, or was refused a strength above
+            float max / 8; ``residual`` is nan because ARPACK reports none.
     """
     n = g.n
     if not 1 <= count <= n:
@@ -227,6 +231,9 @@ def smallest_laplacian_eigs(
             return np.maximum(np.linalg.eigvalsh(dense)[:count], 0.0)
         values, vecs = linalg.eigh(dense, subset_by_index=(0, count - 1))
         return np.maximum(values, 0.0), vecs
+    if g.strength.max() > _ARPACK_MAX_STRENGTH:
+        raise ConvergenceError(f"ARPACK refused a node strength of {g.strength.max():.6g}: its Laplacian "
+                               "product can overflow", residual=float("nan"))
     if rng is None:
         rng = np.random.default_rng(0)
     lap = sparse_linalg.LinearOperator((n, n), matvec=g.laplacian_matvec, dtype=np.float64)

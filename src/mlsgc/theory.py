@@ -48,6 +48,11 @@ _EIG_RTOL = 1e-6
 class ClusterTooSmallError(ValueError):
     """A cluster has fewer than K nodes, so eigenvalues 2..K do not exist."""
 
+    @classmethod
+    def check(cls, assignment: ClusterAssignment) -> None:
+        if assignment.n_min < assignment.K:
+            raise cls(f"every cluster needs at least K={assignment.K} nodes; smallest has {assignment.n_min}")
+
 
 @dataclass(frozen=True)
 class PhaseBounds:
@@ -111,8 +116,8 @@ def _layer_cluster_sum(layer: sparse.csr_array, nodes: np.ndarray, K: int) -> fl
 def _solve_all(tasks: list, assignment: ClusterAssignment) -> list:
     """Run one eigensolve task per cluster (or per layer and cluster).
 
-    ARPACK-sized clusters share the calling thread with an idle pool worker;
-    dense LAPACK solves, which gain nothing from it, run in order here.
+    ARPACK-sized clusters go to :func:`~mlsgc.graph_core.run_tasks`; dense
+    LAPACK solves, which gain nothing from it, run in order here.
     """
     if arpack_solves(assignment.n_min, assignment.K):
         return run_tasks(tasks)
@@ -124,19 +129,17 @@ def cluster_partial_sums(agg: AggregatedGraph, assignment: ClusterAssignment) ->
 
     For each cluster, sums eigenvalues 2..K of the Laplacian of its
     within-cluster subgraph of ``agg``.  When every cluster is solved with
-    ARPACK, two clusters are solved at once if a CPU is idle.
+    ARPACK, the solves are :func:`~mlsgc.graph_core.run_tasks` tasks.
 
     Raises:
         ValueError: the assignment does not cover the node set.
         ClusterTooSmallError: some cluster has fewer than K nodes.
+        ConvergenceError: ARPACK failed or refused a cluster.
     """
     if assignment.n != agg.n:
         raise ValueError("assignment does not cover the node set")
+    ClusterTooSmallError.check(assignment)
     K = assignment.K
-    if assignment.n_min < K:
-        raise ClusterTooSmallError(
-            f"every cluster needs at least K={K} nodes; smallest has {assignment.n_min}"
-        )
     sums = np.array(_solve_all([partial(_cluster_sum, agg.weight_matrix, assignment.members(k), K)
                                 for k in range(K)], assignment))
     sums.setflags(write=False)
@@ -158,10 +161,9 @@ def critical_bounds(
     where ``S_k`` is the partial eigenvalue sum of cluster k's within
     subgraph.  With equal cluster sizes ``t_lb == t_ub``.
 
-    The K aggregated solves run first, then the L*K per-layer ones.  When
-    every cluster is solved with ARPACK, each batch runs two solves at once
-    if a CPU is idle (:func:`~mlsgc.graph_core.run_tasks`); the bounds have
-    the same bytes either way.  Dense solves run one after another.
+    The K aggregated solves run first, then the L*K per-layer ones, each
+    batch as :func:`cluster_partial_sums` runs it; the bounds have the same
+    bytes however many solves run at once.
 
     Raises:
         ValueError: the assignment does not cover the node set, or a node's

@@ -1030,6 +1030,24 @@ def test_theory_check_cluster_too_small(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_theory_check_rejects_small_clusters_before_estimating_noise(tmp_path, capsys):
+    # the noise estimate's O(n K) arrays came first: 539 MiB traced for a
+    # 2000-node path with a cluster per node, then the same error
+    n = 2000
+    path = "".join(f"{layer}\tv{i}\tv{i + 1}\t1\n" for layer in (0, 1) for i in range(n - 1))
+    edges = write(tmp_path / "path.tsv", path)
+    labels = write(tmp_path / "path.labels", "".join(f"v{i}\t{i}\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "theory-check", edges, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"error: every cluster needs at least K={n} nodes; smallest has 1\n"
+    assert peak < 20 << 20
+
+
 # two clusters, a b c and d e f; one node's within-cluster weights in layer 0
 # overflow its strength, while every aggregated strength stays finite
 OVERFLOW_LABELS = "a\t0\nb\t0\nc\t0\nd\t1\ne\t1\nf\t1\n"
@@ -1119,6 +1137,19 @@ def test_theory_check_arpack_failure_exits_4(large_graph_files, arpack_fails, ca
     assert out == ""
     assert err.startswith("numerical failure:")
     assert "Traceback" not in err
+
+
+def test_cluster_exits_4_when_arpack_is_refused_an_overflowing_strength(tmp_path, capsys):
+    graph = connected_random_multilayer(np.random.default_rng(4), 540, 2, density=0.02)
+    layers = [layer.toarray() for layer in graph.layers]
+    i, j = np.argwhere(layers[0] > 0)[0]
+    layers[0][i, j] = layers[0][j, i] = 1e308  # an aggregated strength of about 5e307
+    edges = write(tmp_path / "heavy.tsv", serialize_multilayer_edge_list(dense_graph(graph.node_ids, *layers)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "cluster", edges, "--k", "3")
+    assert (code, out, [str(w.message) for w in caught]) == (4, "", [])
+    assert err.startswith("numerical failure: ARPACK refused a node strength of 5")
 
 
 def _lapack_fails(*args, **kwargs):

@@ -1112,6 +1112,41 @@ def test_busy_workers_leave_tasks_and_products_to_the_calling_thread():
     assert product.tobytes() == whole.tobytes()
 
 
+def test_run_tasks_takes_every_idle_worker():
+    gate = threading.Barrier(3)
+
+    def task(i):
+        if i < 3:
+            gate.wait(timeout=30)  # passes only when the first three tasks run at once
+        return i, threading.get_ident()
+
+    with fresh_pool(3):
+        results = run_tasks([partial(task, i) for i in range(5)])
+    assert [i for i, _ in results] == list(range(5))
+    assert len({ident for _, ident in results[:3]}) == 3
+
+
+def test_a_product_inside_a_task_on_a_busy_pool_has_the_one_pass_bytes():
+    rng = np.random.default_rng(8)
+    graph = random_multilayer(rng, 30, 2)
+    x = rng.standard_normal((30, 2))
+    whole = aggregate(graph, LayerWeights.uniform(2)).laplacian_matvec(x).tobytes()
+    started, finished = threading.Barrier(3), threading.Barrier(3)
+    with fresh_pool(3), forced_row_blocks(3):
+        split = aggregate(graph, LayerWeights.uniform(2))
+        assert len(split._row_blocks) == 3
+
+        def task():
+            started.wait(timeout=30)  # both workers hold a task: the product's blocks stay here
+            idle = graph_core._submit_if_idle(len, ())
+            product = split.laplacian_matvec(x).tobytes()
+            finished.wait(timeout=30)
+            return idle, product
+
+        results = run_tasks([task] * 3)
+    assert results == [(None, whole)] * 3
+
+
 # ---------------------------------------------------------- normalization
 
 

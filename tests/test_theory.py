@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlsgc import (
+    AggregatedGraph,
     ClusterAssignment,
     ClusterTooSmallError,
     ConvergenceError,
@@ -31,6 +32,7 @@ from mlsgc import (
     subspace_perturbation_bound,
 )
 from mlsgc import graph_core, spectral, theory
+from mlsgc.graph_core import induced_subgraph
 
 from .conftest import balanced_assignment, dense_graph, fresh_pool, ids
 
@@ -276,6 +278,39 @@ def test_bound_errors_come_in_layer_then_cluster_order(arpack_clusters, monkeypa
         failing.update({(1, 40), (1, 50)})
         with pytest.raises(ConvergenceError, match=r"^layer 1, 40 nodes$"):
             critical_bounds(probe, asn, w)
+
+
+def test_arpack_refuses_a_cluster_whose_product_can_overflow(arpack_clusters):
+    # an aggregated strength of 1e308: the product overflowed, and cluster
+    # 1's sum came back 0.0 with only numpy's overflow warning
+    _, asn = ragged_graph()
+    graph, _ = ragged_graph(overflow=(asn.members(1)[5],))
+    agg = aggregate(graph, LayerWeights.uniform(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=r"^ARPACK refused a node strength of 1e\+308: "):
+            cluster_partial_sums(agg, asn)
+        with mock.patch.object(spectral, "_DENSE_MAX_N", 512):
+            assert np.all(cluster_partial_sums(agg, asn) > 0.0)
+    sub = induced_subgraph(graph.layers[1], asn.members(1))  # a layer's strength that overflowed
+    with pytest.raises(ConvergenceError, match=r"^ARPACK refused a node strength of inf: "):
+        spectral.smallest_laplacian_eigs(sub, 3)
+
+
+@pytest.mark.parametrize("top", [1e300, 1e306])
+def test_arpack_solves_strengths_near_its_bound(arpack_clusters, top):
+    probe, _ = ragged_graph()
+    agg = aggregate(probe, LayerWeights.uniform(2))
+    scaled = agg.weight_matrix * (top / agg.strength.max())
+    big = AggregatedGraph(scaled, scaled.sum(axis=1))
+    assert big.strength.max() == pytest.approx(top, rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = spectral.smallest_laplacian_eigs(big, 4)
+        with mock.patch.object(spectral, "_DENSE_MAX_N", 512):
+            dense = spectral.smallest_laplacian_eigs(big, 4)
+    assert np.allclose(values, dense, rtol=1e-8, atol=1e-12 * top)
+    assert np.all(values[1:] > 0.0)
 
 
 def test_layer_partial_sums_are_single_layer_cluster_sums():
