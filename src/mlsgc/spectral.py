@@ -17,6 +17,7 @@ reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -41,7 +42,8 @@ __all__ = [
 ]
 
 class ConvergenceError(RuntimeError):
-    """The iterative (ARPACK) eigensolver failed to converge.
+    """The iterative (ARPACK) eigensolver failed to converge, or an
+    eigensolver refused a graph whose Laplacian it cannot solve.
 
     Attributes:
         residual: the worst residual estimate the solver reported, or nan
@@ -209,6 +211,8 @@ def smallest_laplacian_eigs(
     ``g.laplacian_matvec``, from a start vector drawn from ``rng``, so
     repeated calls with equal generators return identical bits.  The graph
     may be disconnected; eigenvalues are clipped at 0 against round-off.
+    Both solvers are accurate to about c * eps * max(strength), absolutely:
+    an eigenvalue far below the largest strength has no correct digits.
 
     Args:
         g: graph of ``n`` nodes, such as an aggregation or an induced
@@ -220,25 +224,34 @@ def smallest_laplacian_eigs(
     Raises:
         ValueError: ``count`` is not in ``1..n``.
         ConvergenceError: ARPACK failed, or was refused a strength above
-            float max / 8; ``residual`` is nan because ARPACK reports none.
+            float max / 8 or not finite, or the dense solver was refused a
+            strength that is not finite; ``residual`` is nan because ARPACK
+            reports none.
     """
     n = g.n
     if not 1 <= count <= n:
         raise ValueError(f"count must satisfy 1 <= count <= n = {n}, got {count}")
+    top = g.strength.max()
     if not arpack_solves(n, count):
+        if not np.isfinite(top):
+            raise ConvergenceError(f"the dense eigensolver refused a node strength of {top:.6g}: its "
+                                   "Laplacian is not finite", residual=float("nan"))
         dense = g.laplacian_dense()
         if not vectors:
             return np.maximum(np.linalg.eigvalsh(dense)[:count], 0.0)
         values, vecs = linalg.eigh(dense, subset_by_index=(0, count - 1))
         return np.maximum(values, 0.0), vecs
-    if g.strength.max() > _ARPACK_MAX_STRENGTH:
-        raise ConvergenceError(f"ARPACK refused a node strength of {g.strength.max():.6g}: its Laplacian "
+    if not top <= _ARPACK_MAX_STRENGTH:  # nan too
+        raise ConvergenceError(f"ARPACK refused a node strength of {top:.6g}: its Laplacian "
                                "product can overflow", residual=float("nan"))
     if rng is None:
         rng = np.random.default_rng(0)
+    # ARPACK's first product takes v0 as given: scaled exactly to a norm in [0.5, 1)
+    v0 = rng.standard_normal(n)
+    v0 = np.ldexp(v0, -math.frexp(np.linalg.norm(v0))[1])
     lap = sparse_linalg.LinearOperator((n, n), matvec=g.laplacian_matvec, dtype=np.float64)
     try:
-        values, vecs = sparse_linalg.eigsh(lap, k=count, which="SA", v0=rng.standard_normal(n))
+        values, vecs = sparse_linalg.eigsh(lap, k=count, which="SA", v0=v0)
     except sparse_linalg.ArpackError as err:
         raise ConvergenceError(f"ARPACK eigensolver failed: {err}", residual=float("nan")) from err
     order = np.argsort(values)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -91,59 +92,66 @@ class PhaseBounds:
         return float(self.cluster_partial_sums.min() / self.n)
 
 
-def _partial_sum(g: AggregatedGraph, K: int) -> float:
-    """``lambda_2 + .. + lambda_K`` of a graph's Laplacian."""
-    return float(np.sum(smallest_laplacian_eigs(g, K)[1:K]))
-
-
-def _cluster_sum(weight_matrix: sparse.csr_array, nodes: np.ndarray, K: int) -> float:
-    return _partial_sum(induced_subgraph(weight_matrix, nodes), K)
-
-
-def _layer_cluster_sum(layer: sparse.csr_array, nodes: np.ndarray, K: int) -> float | np.ndarray | Exception:
-    """The partial sum of a cluster's subgraph in one layer; the cluster's
-    nodes whose strength overflows instead, or the error of the solve."""
-    sub = induced_subgraph(layer, nodes)
+def _solve_cluster(mat: sparse.csr_array, nodes: np.ndarray, K: int) -> float | np.ndarray | Exception:
+    """One task: the partial sum of a cluster's subgraph of ``mat``; the
+    cluster's nodes whose strength is not finite instead, or the solve's error."""
+    sub = induced_subgraph(mat, nodes)
     overflowed = nodes[~np.isfinite(sub.strength)]
     if overflowed.size:
         return overflowed
     try:
-        return _partial_sum(sub, K)
-    except Exception as err:  # raised by critical_bounds after the layer's overflow check
+        return float(np.sum(smallest_laplacian_eigs(sub, K)[1:K]))
+    except Exception as err:  # raised by _solve_clusters after the matrix's strength check
         return err
 
 
-def _solve_all(tasks: list, assignment: ClusterAssignment) -> list:
-    """Run one eigensolve task per cluster (or per layer and cluster).
-
-    ARPACK-sized clusters go to :func:`~mlsgc.graph_core.run_tasks`; dense
-    LAPACK solves, which gain nothing from it, run in order here.
-    """
-    if arpack_solves(assignment.n_min, assignment.K):
-        return run_tasks(tasks)
-    return [task() for task in tasks]
+def _solve_clusters(matrices: Sequence[sparse.csr_array], assignment: ClusterAssignment,
+                    node_ids: Sequence[str] | None = None) -> np.ndarray:
+    """The ``(len(matrices), K)`` partial sums, solved and raised as
+    :func:`cluster_partial_sums` says; with ``node_ids``, the matrices are a
+    graph's layers and an overflow names the layer and the node's id."""
+    K = assignment.K
+    members = [assignment.members(k) for k in range(K)]
+    tasks = [partial(_solve_cluster, mat, nodes, K) for mat in matrices for nodes in members]
+    outcomes = run_tasks(tasks) if arpack_solves(assignment.n_min, K) else [task() for task in tasks]
+    sums = np.empty((len(matrices), K))
+    for i in range(len(matrices)):
+        row = outcomes[i * K:(i + 1) * K]
+        overflowed = [nodes for nodes in row if isinstance(nodes, np.ndarray)]
+        if overflowed:
+            node = int(np.concatenate(overflowed).min())
+            layer, name = ("", node) if node_ids is None else (f"layer {i}: ", node_ids[node])
+            raise ValueError(f"{layer}within-cluster strength of node {name!r} is not finite: "
+                             "its edge weights are too large")
+        for error in row:
+            if isinstance(error, Exception):
+                raise error
+        sums[i] = row
+    sums.setflags(write=False)
+    return sums
 
 
 def cluster_partial_sums(agg: AggregatedGraph, assignment: ClusterAssignment) -> np.ndarray:
     """Partial eigenvalue sums ``lambda_2+..+lambda_K`` per aggregated cluster.
 
-    For each cluster, sums eigenvalues 2..K of the Laplacian of its
-    within-cluster subgraph of ``agg``.  When every cluster is solved with
-    ARPACK, the solves are :func:`~mlsgc.graph_core.run_tasks` tasks.
+    For each cluster, one task cuts its within-cluster subgraph of ``agg``,
+    checks its strengths and sums eigenvalues 2..K of its Laplacian.  When
+    every cluster is ARPACK-sized the tasks go to
+    :func:`~mlsgc.graph_core.run_tasks`; dense LAPACK solves, which gain
+    nothing from it, run in order.  Once every task has ended, a strength
+    that is not finite (the smallest such node) wins over failed solves, of
+    which the first in cluster order is raised.
 
     Raises:
-        ValueError: the assignment does not cover the node set.
+        ValueError: the assignment does not cover the node set, or a node's
+            within-cluster strength is not finite (naming its index).
         ClusterTooSmallError: some cluster has fewer than K nodes.
-        ConvergenceError: ARPACK failed or refused a cluster.
+        ConvergenceError: an eigensolver failed or refused a cluster.
     """
     if assignment.n != agg.n:
         raise ValueError("assignment does not cover the node set")
     ClusterTooSmallError.check(assignment)
-    K = assignment.K
-    sums = np.array(_solve_all([partial(_cluster_sum, agg.weight_matrix, assignment.members(k), K)
-                                for k in range(K)], assignment))
-    sums.setflags(write=False)
-    return sums
+    return _solve_clusters([agg.weight_matrix], assignment)[0]
 
 
 def critical_bounds(
@@ -161,39 +169,22 @@ def critical_bounds(
     where ``S_k`` is the partial eigenvalue sum of cluster k's within
     subgraph.  With equal cluster sizes ``t_lb == t_ub``.
 
-    The K aggregated solves run first, then the L*K per-layer ones, each
-    batch as :func:`cluster_partial_sums` runs it; the bounds have the same
-    bytes however many solves run at once.
+    The K aggregated solves run first, then the L*K per-layer ones in one
+    batch, each as :func:`cluster_partial_sums` runs and raises them,
+    layer by layer; the bounds have the same bytes however many solves run
+    at once.
 
     Raises:
         ValueError: the assignment does not cover the node set, or a node's
-            within-cluster strength in some layer overflows to infinity
-            (naming the first such layer and its first such node).
+            within-cluster strength is not finite (naming the first such
+            layer and the id of its smallest such node).
         ClusterTooSmallError: some cluster has fewer than K nodes.
-        ConvergenceError: ARPACK failed; of the per-layer solves, the
-            first in (layer, cluster) order that failed, and only when no
-            strength of its layer overflows.
+        ConvergenceError: an eigensolver failed or refused a cluster.
     """
     sums = cluster_partial_sums(aggregate(graph, weights), assignment)
     K = assignment.K
     n_min, n_max = assignment.n_min, assignment.n_max
-
-    members = [assignment.members(k) for k in range(K)]
-    outcomes = _solve_all([partial(_layer_cluster_sum, mat, idx, K) for mat in graph.layers for idx in members],
-                          assignment)
-    per_layer = np.empty((graph.L, K))
-    for layer in range(graph.L):
-        row = outcomes[layer * K:(layer + 1) * K]
-        overflowed = [nodes for nodes in row if isinstance(nodes, np.ndarray)]
-        if overflowed:
-            raise ValueError(f"layer {layer}: within-cluster strength of node "
-                             f"{graph.node_ids[np.concatenate(overflowed).min()]!r} "
-                             "is not finite: its edge weights are too large")
-        for error in row:
-            if isinstance(error, Exception):
-                raise error
-        per_layer[layer] = row
-    per_layer.setflags(write=False)
+    per_layer = _solve_clusters(graph.layers, assignment, graph.node_ids)
 
     with np.errstate(invalid="ignore"):  # K == 1 has no transition: 0/0 -> nan
         t_lb = float(sums.min() / ((K - 1) * n_max))

@@ -5,12 +5,14 @@ from __future__ import annotations
 import time
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg as scipy_linalg
+from scipy import sparse
 
 from mlsgc import graph_core, spectral
 from mlsgc import (
@@ -278,6 +280,97 @@ def test_arpack_failure_becomes_convergence_error(arpack_graph, arpack_fails):
     with pytest.raises(ConvergenceError) as info:
         smallest_eigenpairs(arpack_graph, 3)
     assert np.isnan(info.value.residual)
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def graph_of(mat):
+    mat = sparse.csr_array(mat)
+    return AggregatedGraph(mat, mat.sum(axis=1))
+
+
+def test_arpack_first_product_takes_a_start_vector_of_norm_below_one(arpack_graph, monkeypatch):
+    norms = []
+    matvec = graph_core.AggregatedGraph.laplacian_matvec
+
+    def recorded(self, x):
+        norms.append(np.linalg.norm(x))
+        return matvec(self, x)
+
+    monkeypatch.setattr(graph_core.AggregatedGraph, "laplacian_matvec", recorded)
+    spectral.smallest_laplacian_eigs(arpack_graph, 3)
+    assert 0.5 <= norms[0] < 1.0
+
+
+def test_arpack_matches_the_dense_solver_on_a_cycle_near_the_strength_bound(monkeypatch):
+    # strength 1.7e307: a start vector of norm about sqrt(n) made ARPACK's
+    # first product overflow, and one eigenvalue went missing
+    g = graph_of(adjacency_from_edges(100, [(i, (i + 1) % 100) for i in range(100)], 8.5e306))
+    dense = spectral.smallest_laplacian_eigs(g, 4)
+    monkeypatch.setattr(spectral, "_DENSE_MAX_N", 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = spectral.smallest_laplacian_eigs(g, 4)
+    assert np.max(np.abs(values - dense)) <= 1000 * EPS * g.strength.max()
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("cutoff, solver", [(512, "the dense eigensolver"), (30, "ARPACK")], ids=["dense", "arpack"])
+def test_eigensolvers_refuse_a_strength_that_is_not_finite(monkeypatch, value, cutoff, solver):
+    mat = adjacency_from_edges(40, [(i, i + 1) for i in range(39)])
+    mat[0, 1] = mat[1, 0] = value
+    monkeypatch.setattr(spectral, "_DENSE_MAX_N", cutoff)
+    with pytest.raises(ConvergenceError, match=rf"^{solver} refused a node strength of {value}: ") as info:
+        spectral.smallest_laplacian_eigs(graph_of(mat), 3)
+    assert np.isnan(info.value.residual)
+
+
+def log_uniform_graph(seed, n, span):
+    """A connected graph: a random spanning tree plus random chords, with
+    weights log-uniform in [1, 10**span]."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    edges = [(order[i], order[rng.integers(i)]) for i in range(1, n)]
+    edges += [tuple(pair) for pair in rng.integers(n, size=(n, 2)) if pair[0] != pair[1]]
+    return adjacency_from_edges(n, [(i, j, 10.0 ** rng.uniform(0, span)) for i, j in edges])
+
+
+SPANS = st.floats(0.0, 12.0)  # decades of edge weight; ARPACK stops converging from about 6
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(31, 60), count=st.integers(2, 5), span=SPANS)
+@example(seed=0, n=40, count=3, span=2.0)  # ARPACK converges
+@settings(max_examples=25, deadline=None)
+def test_arpack_fails_or_is_accurate_to_the_strength_floor(seed, n, count, span):
+    g = graph_of(log_uniform_graph(seed, n, span))
+    dense = spectral.smallest_laplacian_eigs(g, count)
+    with mock.patch.object(spectral, "_DENSE_MAX_N", 30):
+        try:
+            values = spectral.smallest_laplacian_eigs(g, count)
+        except ConvergenceError:
+            return
+    assert np.max(np.abs(values - dense)) <= 1000 * EPS * g.strength.max()
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(31, 60), count=st.integers(2, 5), span=SPANS,
+       cutoff=st.sampled_from([30, 512]))
+@example(seed=0, n=40, count=3, span=2.0, cutoff=30)  # ARPACK converges
+@settings(max_examples=25, deadline=None)
+def test_adding_an_edge_never_lowers_an_eigenvalue_by_more_than_the_floor(seed, n, count, span, cutoff):
+    # Weyl: the added edge's Laplacian is positive semidefinite
+    mat = log_uniform_graph(seed, n, span)
+    rng = np.random.default_rng(seed + 1)
+    i, j = rng.choice(n, size=2, replace=False)
+    more = mat.copy()
+    more[i, j] = more[j, i] = mat[i, j] + 10.0 ** rng.uniform(0, span)
+    g, h = graph_of(mat), graph_of(more)
+    with mock.patch.object(spectral, "_DENSE_MAX_N", cutoff):
+        try:
+            before, after = spectral.smallest_laplacian_eigs(g, count), spectral.smallest_laplacian_eigs(h, count)
+        except ConvergenceError:
+            return
+    assert np.all(after >= before - 1000 * EPS * h.strength.max())
 
 
 # ------------------------------------------------------ partial sums

@@ -297,6 +297,20 @@ def test_arpack_refuses_a_cluster_whose_product_can_overflow(arpack_clusters):
         spectral.smallest_laplacian_eigs(sub, 3)
 
 
+@pytest.mark.parametrize("cutoff", [512, 30], ids=["dense", "arpack"])
+def test_cluster_partial_sums_name_an_overflowing_node(monkeypatch, cutoff):
+    # both branches name the node before they solve: LAPACK fails on the
+    # cluster's Laplacian, and ARPACK refuses its strength of inf
+    monkeypatch.setattr(spectral, "_DENSE_MAX_N", cutoff)
+    _, asn = ragged_graph()
+    node = asn.members(1)[5]
+    graph, _ = ragged_graph(overflow=(node,))
+    layer = induced_subgraph(graph.layers[1], np.arange(graph.n))
+    with pytest.raises(ValueError, match=rf"^within-cluster strength of node {node} is not finite: "
+                                         r"its edge weights are too large$"):
+        cluster_partial_sums(layer, asn)
+
+
 @pytest.mark.parametrize("top", [1e300, 1e306])
 def test_arpack_solves_strengths_near_its_bound(arpack_clusters, top):
     probe, _ = ragged_graph()
