@@ -782,7 +782,8 @@ def connected_components(g: AggregatedGraph) -> list[np.ndarray]:
         smallest node index (the discovery order over nodes 0..n-1).
     """
     n_components, labels = g._components
-    return [np.flatnonzero(labels == c) for c in range(n_components)]
+    ends = np.cumsum(np.bincount(labels, minlength=n_components))
+    return np.split(np.argsort(labels, kind="stable"), ends[:-1]) if n_components else []
 
 
 def induced_subgraph(weight_matrix: sparse.csr_array, nodes: np.ndarray) -> AggregatedGraph:

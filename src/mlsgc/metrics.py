@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy import sparse, special
+from scipy import special
 from scipy.optimize import linear_sum_assignment
 
 from .graph_core import MultilayerGraph
@@ -139,23 +139,24 @@ def _layer_cut_stats(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
     """Per layer: each cluster's within weight and cut weight, and the layer's total weight.
 
+    Tallies each layer's stored entries by the cluster of their row: O(edges + K).
+
     Raises:
         ValueError: the assignment does not cover the node set, or a layer's
             weights are too large for its cut metrics to be finite.
     """
     if found.n != graph.n:
         raise ValueError("assignment does not cover the node set")
-    onehot = np.zeros((found.n, found.K))
-    onehot[np.arange(found.n), found.labels] = 1.0
-    members = sparse.csr_array(onehot.T)  # H^T that adds only its stored ones, so no 0 * inf
     for layer, W in enumerate(graph.layers):
-        blocks = members @ (W @ onehot)
+        row_cluster = np.repeat(found.labels, np.diff(W.indptr))
+        inside = row_cluster == found.labels[W.indices]
+        totals = np.bincount(row_cluster, weights=W.data, minlength=found.K)
+        twice_within = np.bincount(row_cluster[inside], weights=W.data[inside], minlength=found.K)
         with np.errstate(over="ignore"):
-            volume = blocks.sum()
+            volume = totals.sum()
         if not np.isfinite(volume):
             raise ValueError(f"layer {layer}: total edge weight is not finite: its edge weights are too large")
-        within = np.diag(blocks) / 2.0
-        yield within, blocks.sum(axis=1) - np.diag(blocks), float(volume) / 2.0
+        yield twice_within / 2.0, totals - twice_within, float(volume) / 2.0
 
 
 def conductance(found: ClusterAssignment, graph: MultilayerGraph) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse, special
+from scipy import special
 
 from .graph_core import MultilayerGraph
 from .spectral import ClusterAssignment
@@ -117,11 +117,11 @@ def _pair_order(K: int) -> tuple[tuple[int, int], ...]:
 def estimate_noise(graph: MultilayerGraph, assignment: ClusterAssignment) -> NoiseEstimates:
     """Estimate between-cluster edge probabilities and weights per layer.
 
-    Uses one-hot projections ``H^T A H`` / ``H^T W H`` per layer, so the cost
-    is O(edges * K); the node-to-cluster counts ``A H`` are kept as
-    ``row_counts``.  ``H^T`` is applied as a sparse matrix, which adds only
-    its stored ones, so a block sum is never spoiled by ``0 * inf`` from a
-    node whose sum into another cluster overflows.
+    ``np.bincount`` tallies each layer's stored entries, with and without
+    weights, by (row node, cluster of the column), kept as ``row_counts``,
+    and those by (cluster of the node, column cluster) into the (K, K)
+    blocks.  No one-hot matrix, no product: the cost is O(edges + n * K) per
+    layer, and a sum that overflows to inf spoils no other block.
 
     Raises:
         ValueError: the assignment does not cover the graph, K < 2, or the
@@ -135,9 +135,8 @@ def estimate_noise(graph: MultilayerGraph, assignment: ClusterAssignment) -> Noi
         raise ValueError("noise estimation needs at least two clusters")
     pairs = _pair_order(K)
     sizes = assignment.sizes.astype(np.int64)
-    onehot = np.zeros((graph.n, K))
-    onehot[np.arange(graph.n), assignment.labels] = 1.0
-    members = sparse.csr_array(onehot.T)  # H^T that adds only its stored ones, so no 0 * inf
+    n = graph.n
+    block_bins = (assignment.labels[:, None] * K + np.arange(K)).ravel()  # (cluster of u, k) for each (u, k)
 
     P = len(pairs)
     rows_i = np.array([p[0] for p in pairs])
@@ -146,13 +145,13 @@ def estimate_noise(graph: MultilayerGraph, assignment: ClusterAssignment) -> Noi
 
     m = np.empty((graph.L, P))
     weight_sum = np.empty((graph.L, P))
-    row_counts = np.empty((graph.L, graph.n, K))
+    row_counts = np.empty((graph.L, n, K))
     for layer, W in enumerate(graph.layers):
-        weight_blocks = members @ (W @ onehot)
-        A = W.copy()
-        A.data = np.ones_like(A.data)
-        row_counts[layer] = A @ onehot
-        count_blocks = onehot.T @ row_counts[layer]
+        bins = np.repeat(np.arange(n) * K, np.diff(W.indptr)) + assignment.labels[W.indices]
+        row_weights = np.bincount(bins, weights=W.data, minlength=n * K)
+        row_counts[layer] = np.bincount(bins, minlength=n * K).reshape(n, K)
+        weight_blocks = np.bincount(block_bins, weights=row_weights, minlength=K * K).reshape(K, K)
+        count_blocks = np.bincount(block_bins, weights=row_counts[layer].ravel(), minlength=K * K).reshape(K, K)
         m[layer] = count_blocks[rows_i, rows_j]
         weight_sum[layer] = weight_blocks[rows_i, rows_j]
         if not np.isfinite(weight_sum[layer]).all():
@@ -166,8 +165,8 @@ def estimate_noise(graph: MultilayerGraph, assignment: ClusterAssignment) -> Noi
     t_hat_pair = p_hat * w_bar
 
     total_pairs = float(block_pairs.sum())
-    p_hat_layer = m.sum(axis=1) / total_pairs
     m_layer = m.sum(axis=1)
+    p_hat_layer = m_layer / total_pairs
     w_bar_layer = np.where(m_layer > 0, weight_sum.sum(axis=1) / np.where(m_layer > 0, m_layer, 1.0), 0.0)
     t_hat_layer = p_hat_layer * w_bar_layer
     t_max_layer = t_hat_pair.max(axis=1)

@@ -213,6 +213,9 @@ def smallest_laplacian_eigs(
     may be disconnected; eigenvalues are clipped at 0 against round-off.
     Both solvers are accurate to about c * eps * max(strength), absolutely:
     an eigenvalue far below the largest strength has no correct digits.
+    Every Laplacian has eigenvalue 0, so an ARPACK answer whose smallest
+    value lies above 1000 * eps * max(strength) is refused; an eigenvalue
+    ARPACK skips above the smallest goes unseen.
 
     Args:
         g: graph of ``n`` nodes, such as an aggregation or an induced
@@ -223,10 +226,10 @@ def smallest_laplacian_eigs(
 
     Raises:
         ValueError: ``count`` is not in ``1..n``.
-        ConvergenceError: ARPACK failed, or was refused a strength above
-            float max / 8 or not finite, or the dense solver was refused a
-            strength that is not finite; ``residual`` is nan because ARPACK
-            reports none.
+        ConvergenceError: ARPACK failed or missed the eigenvalue 0, or was
+            refused a strength above float max / 8 or not finite, or the
+            dense solver was refused a strength that is not finite;
+            ``residual`` is nan because ARPACK reports none.
     """
     n = g.n
     if not 1 <= count <= n:
@@ -256,6 +259,10 @@ def smallest_laplacian_eigs(
         raise ConvergenceError(f"ARPACK eigensolver failed: {err}", residual=float("nan")) from err
     order = np.argsort(values)
     values = np.maximum(values[order], 0.0)
+    floor = 1000 * np.finfo(np.float64).eps * top
+    if values[0] > floor:  # every Laplacian has eigenvalue 0: ARPACK skipped it
+        raise ConvergenceError(f"ARPACK missed the eigenvalue 0: its smallest was {values[0]:.6g}, above the "
+                               f"accuracy floor {floor:.6g}", residual=float("nan"))
     return (values, vecs[:, order]) if vectors else values
 
 

@@ -1087,6 +1087,24 @@ def test_evaluate_names_the_layer_whose_weight_overflows(tmp_path, capsys):
     assert err == "error: layer 0: total edge weight is not finite: its edge weights are too large\n"
 
 
+def test_evaluate_memory_is_linear_in_its_input(tmp_path, capsys):
+    # the cut metrics' dense (n, K) one-hot arrays traced 488 MiB for this
+    # 4000-node path (a 156 KiB edge file) with a cluster per node
+    n = 4000
+    path = "".join(f"{layer}\tv{i}\tv{i + 1}\t1\n" for layer in (0, 1) for i in range(n - 1))
+    edges = write(tmp_path / "path.tsv", path)
+    labels = write(tmp_path / "path.labels", "".join(f"v{i}\t{i}\n" for i in range(n)))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "evaluate", edges, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["conductance"] == 2.0  # every edge is cut, in both layers
+    assert peak < 40 << 20
+
+
 # ------------------------------------------------------------------ misc
 
 

@@ -823,6 +823,24 @@ def test_component_labels_equal_the_undirected_search(monkeypatch, numbering):
     assert seen == {0, 1, 2, 3}
 
 
+def test_components_split_like_one_scan_per_component():
+    # the oracle is the scan that once ran ``labels == c`` for every component
+    rng = np.random.default_rng(29)
+    graphs = [aggregate(random_multilayer(rng, int(rng.integers(1, 90)), 1, density=float(rng.uniform(0.0, 0.08))),
+                        LayerWeights.uniform(1)) for _ in range(200)]
+    matching = sparse.csr_array((np.ones(400), (np.arange(400), np.arange(400) ^ 1)), shape=(400, 400))
+    graphs += [aggregate(MultilayerGraph.from_matrices(ids(400), [matching]), LayerWeights.uniform(1)),
+               aggregate(dense_graph(ids(0), np.zeros((0, 0))), LayerWeights.uniform(1))]
+    for agg in graphs:
+        count, labels = agg._components
+        comps = connected_components(agg)
+        oracle = [np.flatnonzero(labels == c) for c in range(count)]
+        assert len(comps) == len(oracle)
+        for got, want in zip(comps, oracle):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert connected_components(graphs[-1]) == [] and len(connected_components(graphs[-2])) == 200
+
+
 # ---------------------------------------------------- induced subgraphs
 
 

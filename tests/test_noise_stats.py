@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from mlsgc import (
     ClusterAssignment,
     GeneralRimParams,
+    TwoLayerCorrelatedParams,
     anscombe_nonidentical_test,
     chi_square_quantile,
     estimate_noise,
     generate_rim,
+    generate_two_layer,
     glrt_identical_noise,
     normal_cdf,
     vtest_homogeneity,
@@ -156,6 +159,52 @@ def test_row_counts_match_the_dense_oracle():
         # m is the row counts summed over each pair's rows
         for idx, (i, j) in enumerate(est.pairs):
             assert est.m[layer, idx] == oracle[asn.labels == i, j].sum()
+
+
+def one_hot_tallies(graph, assignment):
+    """``(m, weight_sum, row_counts)`` by one-hot products, as the estimate
+    was once computed: ``H^T (W H)`` with a sparse ``H^T``, and ``A H`` from a
+    0/1 copy of each layer."""
+    K = assignment.K
+    onehot = np.zeros((graph.n, K))
+    onehot[np.arange(graph.n), assignment.labels] = 1.0
+    members = sparse.csr_array(onehot.T)
+    upper = np.triu_indices(K, 1)  # the canonical pair order
+    m, weight_sum, row_counts = [], [], []
+    for W in graph.layers:
+        weight_sum.append((members @ (W @ onehot))[upper])
+        A = W.copy()
+        A.data = np.ones_like(A.data)
+        row_counts.append(A @ onehot)
+        m.append((onehot.T @ row_counts[-1])[upper])
+    return np.array(m), np.array(weight_sum), np.array(row_counts)
+
+
+def planted_graph():
+    params = TwoLayerCorrelatedParams(cluster_sizes=(200, 200, 200), q11=0.8, q10=0.05, q01=0.05, q00=0.1,
+                                      p1=0.25, p2=0.25, seed=100)
+    return generate_two_layer(params)
+
+
+def weighted_rim_graph():
+    params = GeneralRimParams(cluster_sizes=(70, 70, 70), n_layers=3, within_probs=np.full((3, 3), 0.4),
+                              noise_probs=np.array([0.05, 0.1, 0.2]), noise_weight_means=np.array([0.7, 1.3, 2.9]),
+                              weight_distribution="uniform", seed=5)
+    return generate_rim(params)
+
+
+@pytest.mark.parametrize("make_graph", [planted_graph, weighted_rim_graph], ids=["unit", "weighted"])
+@pytest.mark.parametrize("K", [None, 2, 5, 9, 17, 40], ids=lambda K: "truth" if K is None else f"K{K}")
+def test_estimate_has_the_bytes_of_the_one_hot_products(make_graph, K):
+    # bincount adds within a row in storage order, then across nodes in node
+    # order: the order of the CSR-times-dense products it replaced
+    graph, truth = make_graph()
+    if K is not None:
+        truth = ClusterAssignment(np.random.default_rng(K).permutation(np.arange(graph.n) % K))
+    est = estimate_noise(graph, truth)
+    m, weight_sum, row_counts = one_hot_tallies(graph, truth)
+    for got, want in ((est.m, m), (est.weight_sum, weight_sum), (est.row_counts, row_counts)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------------ V-test

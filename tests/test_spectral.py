@@ -341,6 +341,8 @@ SPANS = st.floats(0.0, 12.0)  # decades of edge weight; ARPACK stops converging 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(31, 60), count=st.integers(2, 5), span=SPANS)
 @example(seed=0, n=40, count=3, span=2.0)  # ARPACK converges
+@example(seed=221, n=40, count=2, span=4.75)  # ARPACK skipped the eigenvalue 0
+@example(seed=44, n=44, count=4, span=7.75)  # ARPACK returned eigenvalues 2..5
 @settings(max_examples=25, deadline=None)
 def test_arpack_fails_or_is_accurate_to_the_strength_floor(seed, n, count, span):
     g = graph_of(log_uniform_graph(seed, n, span))
@@ -351,6 +353,22 @@ def test_arpack_fails_or_is_accurate_to_the_strength_floor(seed, n, count, span)
         except ConvergenceError:
             return
     assert np.max(np.abs(values - dense)) <= 1000 * EPS * g.strength.max()
+
+
+def test_arpack_refuses_an_answer_without_the_eigenvalue_zero(monkeypatch):
+    # an ARPACK that skips the zero of every Laplacian: it returns pairs 2..count+1
+    g = graph_of(adjacency_from_edges(40, [(i, (i + 1) % 40) for i in range(40)]))
+
+    def skips_zero(lap, k, **kwargs):
+        return scipy_linalg.eigh(g.laplacian_dense(), subset_by_index=(1, k))
+
+    monkeypatch.setattr(spectral, "_DENSE_MAX_N", 30)
+    monkeypatch.setattr(spectral.sparse_linalg, "eigsh", skips_zero)
+    floor = 1000 * EPS * 2.0
+    with pytest.raises(ConvergenceError, match=rf"^ARPACK missed the eigenvalue 0: its smallest was 0\.0246233, "
+                                               rf"above the accuracy floor {floor:.6g}$") as info:
+        spectral.smallest_laplacian_eigs(g, 3)
+    assert np.isnan(info.value.residual)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(31, 60), count=st.integers(2, 5), span=SPANS,
