@@ -215,7 +215,10 @@ def smallest_laplacian_eigs(
     an eigenvalue far below the largest strength has no correct digits.
     Every Laplacian has eigenvalue 0, so an ARPACK answer whose smallest
     value lies above 1000 * eps * max(strength) is refused; an eigenvalue
-    ARPACK skips above the smallest goes unseen.
+    ARPACK skips above the smallest goes unseen.  A graph too large for the
+    dense solver whose strengths are all 0 (no edge) is not handed to
+    ARPACK: its eigenvalues are all 0, with the first ``count`` unit vectors
+    as eigenvectors.
 
     Args:
         g: graph of ``n`` nodes, such as an aggregation or an induced
@@ -244,6 +247,9 @@ def smallest_laplacian_eigs(
             return np.maximum(np.linalg.eigvalsh(dense)[:count], 0.0)
         values, vecs = linalg.eigh(dense, subset_by_index=(0, count - 1))
         return np.maximum(values, 0.0), vecs
+    if top == 0.0:  # no edge: every eigenvalue is 0, and ARPACK's first product would be the zero vector
+        values = np.zeros(count)
+        return (values, np.eye(n, count)) if vectors else values
     if not top <= _ARPACK_MAX_STRENGTH:  # nan too
         raise ConvergenceError(f"ARPACK refused a node strength of {top:.6g}: its Laplacian "
                                "product can overflow", residual=float("nan"))
@@ -322,6 +328,11 @@ def smallest_eigenpairs(
 # K-means
 # ---------------------------------------------------------------------------
 
+# Restarts run in chunks whose per-step arrays, such as the (restarts, n, K)
+# squared distances and the (restarts, d + 1, n) tally bins, hold at most this
+# many entries (4 MiB of float64), or one restart's worth when that is more.
+_KMEANS_ENTRIES = 1 << 19
+
 
 def _d2_draw(d2: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise D^2-weighted index draws: ``(m, n)`` squared distances -> ``(m,)`` indices.
@@ -337,36 +348,35 @@ def _d2_draw(d2: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _kmeans_plusplus_init(rows: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
-    """One K-means++ seeding: D^2-weighted incremental center choice.
+    """One K-means++ seeding, as the ``(K,)`` rows picked for centers: D^2-weighted incremental choice.
 
     A center drawn while every row sits on a chosen center (a D^2 total of 0)
     is drawn uniformly with ``rng.integers(n)``.
     """
     n = rows.shape[0]
-    centers = np.empty((K, rows.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = rows[first]
-    d2 = np.sum((rows - centers[0]) ** 2, axis=1)
+    picks = np.empty(K, dtype=np.int64)
+    picks[0] = rng.integers(n)
+    d2 = np.sum((rows - rows[picks[0]]) ** 2, axis=1)
     for k in range(1, K):
         total = d2.sum()
         if total <= 0.0:
-            choice = int(rng.integers(n))
+            picks[k] = rng.integers(n)
         else:
-            choice = int(_d2_draw(d2[None], np.array([total]), np.array([rng.random()]))[0])
-        centers[k] = rows[choice]
-        d2 = np.minimum(d2, np.sum((rows - centers[k]) ** 2, axis=1))
-    return centers
+            picks[k] = _d2_draw(d2[None], np.array([total]), np.array([rng.random()]))[0]
+        d2 = np.minimum(d2, np.sum((rows - rows[picks[k]]) ** 2, axis=1))
+    return picks
 
 
-def _kmeans_plusplus(rows: np.ndarray, K: int, restarts: int, rng: np.random.Generator) -> np.ndarray:
-    """K-means++ seedings of every restart, ``(restarts, K, d)``, in one pass.
+def _kmeans_plusplus(rows: np.ndarray, K: int, restarts: int, chunk: int, rng: np.random.Generator) -> np.ndarray:
+    """K-means++ seedings of every restart, as the ``(restarts, K)`` rows picked.
 
     Draws, restart by restart, ``rng.integers(n)`` for the first center and
     ``rng.random(K - 1)`` for the others: the draws of
     :func:`_kmeans_plusplus_init` run once per restart while every D^2 total
-    stays positive.  When some total is 0 (every row on a chosen center, as
-    with fewer distinct rows than K), the generator is rewound and the
-    restarts are seeded one at a time instead.
+    stays positive.  The D^2 distances are computed ``chunk`` restarts at a
+    time.  When some total is 0 (every row on a chosen center, as with fewer
+    distinct rows than K), the generator is rewound and the restarts are
+    seeded one at a time instead.
     """
     n = rows.shape[0]
     state = rng.bit_generator.state
@@ -375,59 +385,117 @@ def _kmeans_plusplus(rows: np.ndarray, K: int, restarts: int, rng: np.random.Gen
     for r in range(restarts):
         picks[r, 0] = rng.integers(n)
         u[r] = rng.random(K - 1)
-    d2 = np.sum((rows - rows[picks[:, :1]]) ** 2, axis=2)
-    for k in range(1, K):
-        total = d2.sum(axis=1)
-        if np.any(total <= 0.0):
-            rng.bit_generator.state = state
-            return np.stack([_kmeans_plusplus_init(rows, K, rng) for _ in range(restarts)])
-        picks[:, k] = _d2_draw(d2, total, u[:, k - 1])
-        d2 = np.minimum(d2, np.sum((rows - rows[picks[:, k : k + 1]]) ** 2, axis=2))
-    return rows[picks]
+    for lo in range(0, restarts, chunk):
+        part, draws = picks[lo : lo + chunk], u[lo : lo + chunk]
+        d2 = ((rows - rows[part[:, :1]]) ** 2).sum(axis=2)
+        for k in range(1, K):
+            total = d2.sum(axis=1)
+            if (total <= 0.0).any():
+                rng.bit_generator.state = state
+                return np.stack([_kmeans_plusplus_init(rows, K, rng) for _ in range(restarts)])
+            part[:, k] = _d2_draw(d2, total, draws[:, k - 1])
+            if k < K - 1:  # the distances to the last center are never read
+                np.minimum(d2, ((rows - rows[part[:, k : k + 1]]) ** 2).sum(axis=2), out=d2)
+    return picks
 
 
-def _counts(labels: np.ndarray, K: int) -> np.ndarray:
-    """Cluster sizes per restart: ``(m, n)`` labels -> ``(m, K)`` counts."""
-    m = labels.shape[0]
-    return np.bincount((labels + K * np.arange(m)[:, None]).ravel(), minlength=m * K).reshape(m, K)
+def _tally(labels: np.ndarray, K: int, repeated: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Per-restart cluster tallies: ``(m, n)`` labels -> ``(m, d + 1, K)``.
 
-
-def _centers(rows: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
-    """Cluster means per restart, ``(m, K, d)``; an empty cluster's is 0.
-
-    Sums add rows in node order, so a restart's bits do not depend on the batch.
+    Entry ``(r, j, k)`` sums column j over restart r's cluster k, of the rows
+    with a trailing 1.0 column, so entry ``(r, d, k)`` is the cluster's size,
+    exactly.  ``repeated`` holds those rows transposed, ``(d + 1, n)``, flat
+    and once per restart for at least m restarts; ``base[r, j, 0]`` is the
+    bin of ``(r, j, 0)``.  bincount adds each bin's rows in node order, so a
+    restart's bits do not depend on the others.
     """
-    m, n = labels.shape
-    d = rows.shape[1]
-    bins = (labels + K * np.arange(m)[:, None])[:, :, None] * d + np.arange(d)
-    sums = np.bincount(bins.ravel(), weights=np.broadcast_to(rows, (m, n, d)).ravel(), minlength=m * K * d)
-    return sums.reshape(m, K, d) / np.maximum(_counts(labels, K), 1)[:, :, None]
+    m, width = labels.shape[0], base.shape[1]
+    bins = labels[:, None, :] + base[:m]
+    return np.bincount(bins.ravel(), weights=repeated[: bins.size], minlength=m * width * K).reshape(m, width, K)
+
+
+def _centers(tally: np.ndarray) -> np.ndarray:
+    """Cluster means, a C-contiguous ``(m, K, d)``, from a :func:`_tally` without empty clusters."""
+    m, width, K = tally.shape
+    centers = np.empty((m, K, width - 1))
+    np.divide(tally[:, :-1], tally[:, -1:], out=centers.transpose(0, 2, 1))
+    return centers
 
 
 def _assign(twice_rows: np.ndarray, sq_rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest-center labels per restart; ties go to the lowest center index."""
-    d2 = sq_rows[:, None] - twice_rows @ centers.transpose(0, 2, 1) + np.sum(centers**2, axis=2)[:, None, :]
-    return np.argmin(d2, axis=2)
+    """Nearest-center labels per restart; ties go to the lowest center index.
+
+    ``twice_rows`` is ``2 x`` and ``sq_rows`` the ``(n, K)`` repeated ``|x|^2``.
+    """
+    sq_centers = (centers**2).sum(axis=2)
+    d2 = twice_rows @ centers.transpose(0, 2, 1)
+    np.subtract(sq_rows, d2, out=d2)
+    d2 += sq_centers[:, None, :]
+    return d2.argmin(axis=2)
 
 
-def _repair_empty(rows: np.ndarray, labels: np.ndarray, K: int) -> np.ndarray:
+def _repair_empty(rows: np.ndarray, labels: np.ndarray, tally: np.ndarray, repeated: np.ndarray,
+                  base: np.ndarray) -> None:
     """Fill each empty cluster with the farthest point a size->=2 cluster can spare.
 
-    ``labels`` holds one row per restart; only restarts with an empty
-    cluster are touched, in place.
+    ``labels`` holds one row per restart and ``tally`` their :func:`_tally`;
+    only restarts with an empty cluster are touched, both in place.
     """
-    counts = _counts(labels, K)
-    for r in np.flatnonzero(np.any(counts == 0, axis=1)):
-        own, count = labels[r], counts[r]
+    counts = tally[:, -1]
+    if counts.all():
+        return
+    K = tally.shape[2]
+    for r in np.flatnonzero((counts == 0).any(axis=1)):
+        own, count = labels[r], counts[r].copy()
         for k in np.flatnonzero(count == 0):
-            centers = _centers(rows, own[None], K)[0]
-            dist = np.sum((rows - centers[own]) ** 2, axis=1)
+            own_tally = _tally(own[None], K, repeated, base)
+            np.maximum(own_tally[:, -1], 1.0, out=own_tally[:, -1])  # an empty cluster's center is not read
+            dist = np.sum((rows - _centers(own_tally)[0, own]) ** 2, axis=1)
             dist[count[own] < 2] = -np.inf
             donor = int(np.argmax(dist))
             count[own[donor]] -= 1
             own[donor] = k
             count[k] = 1
-    return labels
+        tally[r] = _tally(own[None], K, repeated, base)[0]
+
+
+def _lloyd(rows: np.ndarray, picks: np.ndarray, max_iter: int, twice_rows: np.ndarray, sq_rows: np.ndarray,
+           repeated: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations of the restarts seeded at ``picks``, ``(m, K)``: their ``(m, n)`` labels and inertias.
+
+    A step is one assignment and one :func:`_tally` of the new labels, whose
+    sizes serve both the empty-cluster check and the next step's centers.
+    """
+    m, K = picks.shape
+    labels = np.empty((m, rows.shape[0]), dtype=np.int64)  # a restart's labels and tally, set as it stops
+    tallies = np.empty((m, base.shape[1], K))
+    live = np.arange(m)
+    current = _assign(twice_rows, sq_rows, rows[picks])
+    tally = _tally(current, K, repeated, base)
+    _repair_empty(rows, current, tally, repeated, base)
+    before = current  # the live restarts' labels one step earlier
+    for _ in range(max_iter):
+        new = _assign(twice_rows, sq_rows, _centers(tally))
+        new_tally = _tally(new, K, repeated, base)
+        _repair_empty(rows, new, new_tally, repeated, base)
+        # a step maps labels to labels, so a return to the labels of two steps back repeats forever
+        moved = (new != current).any(axis=1) & (new != before).any(axis=1)
+        if not moved.all():
+            stopped = ~moved
+            labels[live[stopped]] = current[stopped]
+            tallies[live[stopped]] = tally[stopped]
+            live = live[moved]
+            if live.size == 0:
+                break
+            current, new, new_tally = current[moved], new[moved], new_tally[moved]
+        before, current, tally = current, new, new_tally
+    if live.size:
+        labels[live] = current
+        tallies[live] = tally
+    fitted = _centers(tallies)[np.arange(m)[:, None], labels]
+    np.subtract(rows, fitted, out=fitted)
+    # one contiguous n*d row per restart: the summation order of np.sum over one (n, d) array
+    return labels, np.square(fitted, out=fitted).reshape(m, rows.size).sum(axis=1)
 
 
 def kmeans(
@@ -453,6 +521,16 @@ def kmeans(
     earliest restart.  Empty clusters during Lloyd iterations are repaired
     by reseeding them with the point farthest from its current centroid.
 
+    One Lloyd step of one restart on ``n`` rows of ``d`` columns costs one
+    ``(n, d) x (d, K)`` product for the ``(n, K)`` squared distances and one
+    ``bincount`` over the ``n (d + 1)`` entries of the rows with a trailing
+    1.0, which gives the cluster sums and sizes together.  Seeding and Lloyd
+    iterations run the restarts in chunks: a chunk of m restarts holds
+    arrays of ``m * n * max(K, d + 1)`` entries, with m as large as keeps
+    that within 2^19 (4 MiB of float64) and at least 1.  So beyond the rows,
+    the memory stays a small multiple of 4 MiB, or of ``n * max(K, d + 1)``
+    entries when one restart needs more.
+
     Raises:
         ValueError: ``rows`` is not a 2-D array, holds a non-finite value or
             one so large that squared distances could overflow, ``K < 1``,
@@ -474,26 +552,19 @@ def kmeans(
     peak = float(np.abs(rows).max(initial=0.0))
     if peak > limit:
         raise ValueError(f"rows must lie within +-{limit:.3g} so that squared distances stay finite, got {peak:.3g}")
-    rng = np.random.default_rng(seed)
-    centers = _kmeans_plusplus(rows, K, restarts, rng)
-    twice_rows, sq_rows = 2.0 * rows, np.sum(rows**2, axis=1)
-    labels = _repair_empty(rows, _assign(twice_rows, sq_rows, centers), K)
-    live = np.arange(restarts)
-    before = labels  # the live restarts' labels one step earlier
-    for _ in range(max_iter):
-        current = labels[live]
-        new_labels = _repair_empty(rows, _assign(twice_rows, sq_rows, _centers(rows, current, K)), K)
-        # a step maps labels to labels, so a return to the labels of two steps back repeats forever
-        moved = (new_labels != current).any(axis=1) & (new_labels != before).any(axis=1)
-        live = live[moved]
-        if live.size == 0:
-            break
-        before = current[moved]
-        labels[live] = new_labels[moved]
-    fitted = _centers(rows, labels, K)[np.arange(restarts)[:, None], labels]
-    # one contiguous n*d row per restart: the summation order of np.sum over one (n, d) array
-    inertia = np.sum(((rows - fitted) ** 2).reshape(restarts, rows.size), axis=1)
-    return ClusterAssignment(labels[int(np.argmin(inertia))])
+    n, d = rows.shape
+    chunk = min(restarts, max(1, _KMEANS_ENTRIES // (n * max(K, d + 1))))
+    picks = _kmeans_plusplus(rows, K, restarts, chunk, np.random.default_rng(seed))
+    twice_rows, sq_rows = 2.0 * rows, np.repeat(np.sum(rows**2, axis=1), K).reshape(n, K)
+    repeated = np.tile(np.vstack([rows.T, np.ones(n)]).ravel(), chunk)
+    base = np.arange(chunk * (d + 1)).reshape(chunk, d + 1, 1) * K
+    best, best_inertia = None, np.inf  # every inertia is finite, by the limit above
+    for lo in range(0, restarts, chunk):
+        labels, inertia = _lloyd(rows, picks[lo : lo + chunk], max_iter, twice_rows, sq_rows, repeated, base)
+        r = int(np.argmin(inertia))
+        if inertia[r] < best_inertia:
+            best, best_inertia = labels[r], inertia[r]
+    return ClusterAssignment(best)
 
 
 def multilayer_sgc(

@@ -1048,6 +1048,19 @@ def test_theory_check_rejects_small_clusters_before_estimating_noise(tmp_path, c
     assert peak < 20 << 20
 
 
+def test_theory_check_solves_clusters_without_edges_in_a_layer(tmp_path, capsys):
+    # two 520-node clusters, each a ring in layer 1, joined only by a
+    # matching in layer 0: ARPACK got layer 0's within-cluster subgraphs,
+    # which have no edge, and exited 4 with "Starting vector is zero"
+    n = 520
+    rings = "".join(f"1\tc{c}v{i}\tc{c}v{(i + 1) % n}\t1\n" for c in (0, 1) for i in range(n))
+    edges = write(tmp_path / "rings.tsv", rings + "".join(f"0\tc0v{i}\tc1v{i}\t1\n" for i in range(n)))
+    labels = write(tmp_path / "rings.labels", "".join(f"c{c}v{i}\t{c}\n" for c in (0, 1) for i in range(n)))
+    code, out, err = run_cli(capsys, "theory-check", edges, labels)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["bounds"]["universal_lb"] == 0.0  # layer 0's within-cluster sums are 0
+
+
 # two clusters, a b c and d e f; one node's within-cluster weights in layer 0
 # overflow its strength, while every aggregated strength stays finite
 OVERFLOW_LABELS = "a\t0\nb\t0\nc\t0\nd\t1\ne\t1\nf\t1\n"
@@ -1103,6 +1116,23 @@ def test_evaluate_memory_is_linear_in_its_input(tmp_path, capsys):
     assert (code, err) == (0, "")
     assert json.loads(out)["conductance"] == 2.0  # every edge is cut, in both layers
     assert peak < 40 << 20
+
+
+def test_cluster_memory_with_k_near_n_is_bounded(tmp_path, capsys):
+    # K-means ran its 20 restarts at once, with (20, n, K) distances and
+    # (20, n, d) bins for the sums: 225.0 MiB traced for this 600-node path (an
+    # 11 KiB edge file) with --k 599
+    n = 600
+    edges = write(tmp_path / "path.tsv", "".join(f"0\tv{i}\tv{i + 1}\t1\n" for i in range(n - 1)))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "cluster", edges, "--k", str(n - 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert len({line.split("\t")[1] for line in out.splitlines()}) == n - 1
+    assert peak <= 225.0 * 2**20 / 5
 
 
 # ------------------------------------------------------------------ misc

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import time
 import warnings
 from types import SimpleNamespace
@@ -371,6 +372,21 @@ def test_arpack_refuses_an_answer_without_the_eigenvalue_zero(monkeypatch):
     assert np.isnan(info.value.residual)
 
 
+@pytest.mark.parametrize("vectors", [False, True], ids=["values", "vectors"])
+def test_laplacian_eigs_of_a_large_graph_without_edges_are_zero(monkeypatch, vectors):
+    # ARPACK's first product on this graph is the zero vector, and it failed
+    # with "ARPACK error -9: Starting vector is zero"
+    def no_product(self, x):
+        raise AssertionError("ARPACK applied the Laplacian of a graph without edges")
+
+    monkeypatch.setattr(graph_core.AggregatedGraph, "laplacian_matvec", no_product)
+    got = spectral.smallest_laplacian_eigs(graph_of(sparse.csr_array((600, 600))), 4, vectors=vectors)
+    values = got[0] if vectors else got
+    assert np.array_equal(values, np.zeros(4))
+    if vectors:
+        assert np.array_equal(got[1], np.eye(600, 4))
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(31, 60), count=st.integers(2, 5), span=SPANS,
        cutoff=st.sampled_from([30, 512]))
 @example(seed=0, n=40, count=3, span=2.0, cutoff=30)  # ARPACK converges
@@ -706,6 +722,67 @@ def repeated_row_problems(draw):
 def test_kmeans_on_repeated_rows_matches_the_sequential_reference(problem, seed, restarts):
     rows, K = problem
     got = kmeans(rows, K, seed, restarts=restarts)
+    assert np.array_equal(got.labels, reference_kmeans(rows, K, seed, restarts=restarts).labels)
+
+
+@contextlib.contextmanager
+def chunk_budget(rows, K, chunk):
+    """Set the K-means chunk budget to ``chunk`` restarts on ``rows``; yields the sizes of the chunks run."""
+    n, d = rows.shape
+    sizes = []
+    lloyd = spectral._lloyd
+
+    def counted(rows, picks, *args):
+        sizes.append(picks.shape[0])
+        return lloyd(rows, picks, *args)
+
+    with mock.patch.object(spectral, "_KMEANS_ENTRIES", chunk * n * max(K, d + 1)), \
+            mock.patch.object(spectral, "_lloyd", counted):
+        yield sizes
+
+
+@given(problem=kmeans_problems(), seed=st.integers(0, 2**32 - 1), restarts=st.integers(3, 25),
+       max_iter=st.sampled_from([0, 1, 2, 300]), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_kmeans_in_chunks_matches_the_sequential_reference(problem, seed, restarts, max_iter, data):
+    rows, K = problem
+    with chunk_budget(rows, K, data.draw(st.integers(1, restarts // 3), label="chunk")) as sizes:
+        got = kmeans(rows, K, seed, restarts=restarts, max_iter=max_iter)
+    assert len(sizes) >= 3 and sum(sizes) == restarts
+    assert np.array_equal(got.labels, reference_kmeans(rows, K, seed, restarts=restarts, max_iter=max_iter).labels)
+
+
+@pytest.mark.parametrize("rows, K, restarts, chunk, seedings", [
+    (np.random.default_rng(4).standard_normal((60, 9)), 10, 20, 6, 0),
+    (np.random.default_rng(5).standard_normal((4, 3))[np.random.default_rng(6).integers(0, 4, 50)], 6, 20, 7, 20),
+    (np.random.default_rng(7).standard_normal((30, 2)), 4, 3, 1, 0),
+], ids=["distinct-rows", "fewer-distinct-rows-than-K", "one-restart-per-chunk"])
+def test_kmeans_in_chunks_seeds_like_the_sequential_reference(monkeypatch, rows, K, restarts, chunk, seedings):
+    # the seedings are chunked too, and a rewind still seeds every restart one at a time
+    calls = []
+    one = spectral._kmeans_plusplus_init
+
+    def counted(*args):
+        calls.append(1)
+        return one(*args)
+
+    monkeypatch.setattr(spectral, "_kmeans_plusplus_init", counted)
+    for seed in range(5):
+        with chunk_budget(rows, K, chunk) as sizes:
+            got = kmeans(rows, K, seed, restarts=restarts)
+        assert len(sizes) >= 3 and sum(sizes) == restarts
+        assert np.array_equal(got.labels, reference_kmeans(rows, K, seed, restarts=restarts).labels)
+    assert len(calls) == 5 * seedings
+
+
+@given(problem=repeated_row_problems(), seed=st.integers(0, 2**32 - 1), restarts=st.integers(3, 25),
+       data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_kmeans_in_chunks_on_repeated_rows_matches_the_sequential_reference(problem, seed, restarts, data):
+    rows, K = problem
+    with chunk_budget(rows, K, data.draw(st.integers(1, restarts // 3), label="chunk")) as sizes:
+        got = kmeans(rows, K, seed, restarts=restarts)
+    assert len(sizes) >= 3 and sum(sizes) == restarts
     assert np.array_equal(got.labels, reference_kmeans(rows, K, seed, restarts=restarts).labels)
 
 

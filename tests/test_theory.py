@@ -311,6 +311,20 @@ def test_cluster_partial_sums_name_an_overflowing_node(monkeypatch, cutoff):
         cluster_partial_sums(layer, asn)
 
 
+def test_cluster_partial_sums_of_a_large_cluster_without_edges_are_zero():
+    # ARPACK's first product on cluster 0's subgraph, which has no edge, is
+    # the zero vector: it failed with "ARPACK error -9: Starting vector is zero"
+    n = 520
+    mat = np.zeros((2 * n, 2 * n))
+    ring = n + np.arange(n)
+    mat[ring, np.roll(ring, 1)] = mat[np.roll(ring, 1), ring] = 1.0
+    mat[np.arange(n), ring] = mat[ring, np.arange(n)] = 1.0  # a matching joins the clusters
+    sums = cluster_partial_sums(aggregate(dense_graph(ids(2 * n), mat), LayerWeights.uniform(1)),
+                                balanced_assignment([n, n]))
+    assert sums[0] == 0.0
+    assert sums[1] == pytest.approx(2.0 - 2.0 * np.cos(2.0 * np.pi / n), rel=1e-9)
+
+
 @pytest.mark.parametrize("top", [1e300, 1e306])
 def test_arpack_solves_strengths_near_its_bound(arpack_clusters, top):
     probe, _ = ragged_graph()
