@@ -531,9 +531,10 @@ def _piece_columns(piece: str, codes: dict[str, int]) -> tuple[np.ndarray, ...] 
     """Layer, provisional u and v codes, and weight of each edge in ``piece``.
 
     ``codes`` maps node ids to provisional codes and gains this piece's new
-    ids.  Returns None when a record has the wrong field count; ``int`` and
-    ``float`` raise ValueError on a bad number, and ``np.fromiter``
-    OverflowError on a layer index outside int64.
+    ids.  The layer column is int16 and the codes int32.  Returns None when
+    a record has the wrong field count; ``int`` and ``float`` raise
+    ValueError on a bad number, and ``np.fromiter`` OverflowError on a
+    layer index outside int16.
     """
     records = [line for line in map(str.strip, piece.splitlines()) if line and line[0] != "#"]
     tabs = list(map(str.count, records, repeat("\t")))
@@ -552,9 +553,9 @@ def _piece_columns(piece: str, codes: dict[str, int]) -> tuple[np.ndarray, ...] 
     new = [node for node in set(us).union(vs) if node not in codes]
     codes.update(zip(new, range(len(codes), len(codes) + len(new))))
     return (
-        np.fromiter(map(int, fields[0::4]), np.int64, m),
-        np.fromiter(map(codes.__getitem__, us), np.int64, m),
-        np.fromiter(map(codes.__getitem__, vs), np.int64, m),
+        np.fromiter(map(int, fields[0::4]), np.int16, m),
+        np.fromiter(map(codes.__getitem__, us), np.int32, m),
+        np.fromiter(map(codes.__getitem__, vs), np.int32, m),
         np.fromiter(map(float, fields[3::4]), np.float64, m),
     )
 
@@ -568,29 +569,31 @@ def _edge_columns(text: str) -> tuple[tuple[str, ...], Iterable[tuple[np.ndarray
     is unlabelable; every other check is left to the graph.
     """
     codes: dict[str, int] = {}
-    parts = []
+    parts: list[list[np.ndarray]] = [[], [], [], []]
     try:
         for piece in _pieces(text):
             columns = _piece_columns(piece, codes)
             if columns is None:
                 return None
-            parts.append(columns)
+            for part, column in zip(parts, columns):
+                part.append(column)
     except (ValueError, OverflowError):
         return None
-    if not parts:
+    if not parts[0]:
         return (), ()
-    layer, u, v, weight = map(np.concatenate, zip(*parts))
+    # each column's pieces are dropped as soon as the column is joined
+    weight, v, u, layer = (np.concatenate(parts.pop()) for _ in range(4))
     node_ids = tuple(sorted(codes))
     n = len(node_ids)
     if any(map(_unlabelable, node_ids)):
         return None
     if layer.size and (layer.min() < 0 or layer.max() >= MAX_LAYERS):
         return None
-    position = np.empty(n, np.int64)
-    position[np.fromiter(map(codes.__getitem__, node_ids), np.int64, n)] = np.arange(n)
+    position = np.empty(n, np.int32)
+    position[np.fromiter(map(codes.__getitem__, node_ids), np.int32, n)] = np.arange(n, dtype=np.int32)
     u, v = position[u], position[v]
-    # layers are below MAX_LAYERS <= 2**15, so this stable sort is a radix sort
-    order = np.argsort(layer.astype(np.int16), kind="stable")
+    # layers are int16 below MAX_LAYERS <= 2**15, so this stable sort is a radix sort
+    order = np.argsort(layer, kind="stable")
     n_layers = int(layer.max()) + 1 if layer.size else 0
     bounds = np.searchsorted(layer[order], np.arange(n_layers + 1))
     rows = (order[a:b] for a, b in zip(bounds[:-1], bounds[1:]))
@@ -668,6 +671,11 @@ def _raise_first_error(text: str) -> NoReturn:
     raise AssertionError("the columnar checks rejected an edge list that every line check accepts")
 
 
+# Edges per chunk of the writer; one chunk's (edges, 3) block of strings
+# exists at a time.
+_WRITE_EDGES = 1 << 16
+
+
 def serialize_multilayer_edge_list(graph: MultilayerGraph) -> str:
     """Serialize a graph to the edge-list format (inverse of the parser).
 
@@ -675,13 +683,32 @@ def serialize_multilayer_edge_list(graph: MultilayerGraph) -> str:
     (layer, u-index, v-index) with u < v, so a parse -> serialize -> parse
     round trip is the identity and serialization is byte-deterministic.
     A node id the parser would not read back raises ValueError.
+
+    No string is formatted per edge.  A row is three prebuilt strings:
+    ``"{layer}\\t{u}\\t"`` (built once per node of each layer with edges),
+    ``"{v}\\t"`` (once per node) and ``repr(weight) + "\\n"`` (once per
+    distinct weight of a chunk of ``_WRITE_EDGES`` edges), gathered by index
+    into an object block that is joined chunk by chunk.  Weights are
+    positive and finite, so ``np.unique`` merges no two bit patterns.
+    Beside the graph's columns the memory is one layer's node strings, one
+    chunk's block and the text twice: the joined chunks and the result.
     """
     _check_writable(graph.node_ids)
-    node_ids = np.array(graph.node_ids, dtype=object)
-    return "".join(
-        "".join(map(f"{layer}\t{{}}\t{{}}\t{{!r}}\n".format, node_ids[u], node_ids[v], w.tolist()))
-        for layer, (u, v, w) in enumerate(graph.edges())
-    )
+    seconds = np.array([f"{node}\t" for node in graph.node_ids], dtype=object)
+    chunks = []
+    for layer, (u, v, w) in enumerate(graph.edges()):
+        if not len(u):
+            continue
+        firsts = np.array([f"{layer}\t{node}\t" for node in graph.node_ids], dtype=object)
+        for start in range(0, len(u), _WRITE_EDGES):
+            rows = slice(start, start + _WRITE_EDGES)
+            weights, which = np.unique(w[rows], return_inverse=True)
+            block = np.empty((len(which), 3), dtype=object)
+            block[:, 0] = firsts[u[rows]]
+            block[:, 1] = seconds[v[rows]]
+            block[:, 2] = np.array([f"{weight!r}\n" for weight in weights.tolist()], dtype=object)[which]
+            chunks.append("".join(block.ravel().tolist()))
+    return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,36 @@ def test_parse_allocation_is_bounded_by_a_multiple_of_the_text(large_text):
     assert peak < 12 * len(large_text)
 
 
+@pytest.fixture(scope="module")
+def text_of_9_mib():
+    text = large_edge_list(n_nodes=1100)
+    assert len(text) > 8 << 20
+    return text
+
+
+def test_parse_peak_on_a_large_text_is_under_four_times_the_text(text_of_9_mib):
+    # on this text the peak is set by the columns and one layer's symmetric
+    # copy, not by the 1 MiB tokenizer pieces: int16 layers and int32 node
+    # codes, each column joined on its own, peak at about 3.6x; int64
+    # columns joined all at once peaked at about 4.75x
+    tracemalloc.start()
+    try:
+        g = parse_multilayer_edge_list(text_of_9_mib)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(mat.nnz for mat in g.layers) == 2 * text_of_9_mib.count("\n")
+    assert peak < 4 * len(text_of_9_mib)
+
+
+@pytest.mark.parametrize("layer", [2**15 - 1, 2**15, 40000, -(2**15) - 1, 2**63])
+def test_parse_names_a_layer_index_beyond_the_int16_column(layer):
+    text = f"0\ta\tb\t1.0\n{layer}\ta\tc\t1.0\n"
+    bound = f"must be >= 0, got {layer}" if layer < 0 else f"must be < {MAX_LAYERS}, got {layer}"
+    with pytest.raises(EdgeListFormatError, match=re.escape(f"line 2: layer index {bound}")):
+        parse_multilayer_edge_list(text)
+
+
 def test_parse_names_a_duplicate_whose_copies_lie_in_different_pieces(large_text):
     first = large_text.split("\n", 1)[0]
     layer, u, v, _ = first.split("\t")
@@ -738,6 +768,52 @@ def writer_graphs(draw):
 @settings(max_examples=200, deadline=None)
 def test_serialize_equals_the_lexsort_writer(g):
     assert serialize_multilayer_edge_list(g) == lexsort_serialize_multilayer_edge_list(g)
+
+
+@given(writer_graphs(), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_serialize_in_small_chunks_equals_the_lexsort_writer(g, write_edges):
+    with mock.patch.object(graph_core, "_WRITE_EDGES", write_edges):
+        assert serialize_multilayer_edge_list(g) == lexsort_serialize_multilayer_edge_list(g)
+
+
+def test_serialize_a_layer_of_several_chunks_equals_the_lexsort_writer():
+    # a repeated weight that every chunk holds, distinct weights down to the
+    # smallest subnormal and up to 1e308, an empty layer between two full ones
+    # and ids outside ASCII
+    n = 700
+    node_ids = [f"{'é中𝔸z'[i % 4]}{i}" for i in range(n)]
+    iu, ju = np.triu_indices(n, 1)
+    rng = np.random.default_rng(0)
+    full = rng.random(iu.size) < 0.7
+    weights = np.where(rng.random(iu.size) < 0.5, 1.0, rng.uniform(1e-3, 1e3, iu.size))
+    weights[rng.choice(iu.size, 40, replace=False)] = 5e-324
+    weights[rng.choice(iu.size, 40, replace=False)] = 1e308
+    sparse_keep = rng.random(iu.size) < 0.01
+    g = MultilayerGraph.from_edges(node_ids, [
+        (iu[full], ju[full], weights[full]),
+        (iu[:0], ju[:0], weights[:0]),
+        (iu[sparse_keep], ju[sparse_keep], weights[sparse_keep]),
+    ])
+    assert g.layers[0].nnz // 2 > 2 * graph_core._WRITE_EDGES  # three chunks or more
+    text = serialize_multilayer_edge_list(g)
+    assert text == lexsort_serialize_multilayer_edge_list(g)
+    assert "\t5e-324\n" in text and "\t1e+308\n" in text and "\n1\t" not in text
+
+
+def test_serialize_peak_is_under_three_times_the_text(text_of_9_mib):
+    # the joined chunks and the result hold the text twice; the rest is one
+    # layer's columns and one chunk's block, about 2.5x in all.  A string
+    # formatted per edge peaked at about 3.6x here
+    g = parse_multilayer_edge_list(text_of_9_mib)
+    tracemalloc.start()
+    try:
+        text = serialize_multilayer_edge_list(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == text_of_9_mib
+    assert peak < 3 * len(text)
 
 
 def test_serialize_equals_the_lexsort_writer_on_an_unsorted_layer():
