@@ -532,9 +532,9 @@ def _piece_columns(piece: str, codes: dict[str, int]) -> tuple[np.ndarray, ...] 
 
     ``codes`` maps node ids to provisional codes and gains this piece's new
     ids.  The layer column is int16 and the codes int32.  Returns None when
-    a record has the wrong field count; ``int`` and ``float`` raise
-    ValueError on a bad number, and ``np.fromiter`` OverflowError on a
-    layer index outside int16.
+    a record has the wrong field count or a layer index is out of range;
+    ``int`` and ``float`` raise ValueError on a bad number, and
+    ``np.fromiter`` OverflowError on a layer index outside int64.
     """
     records = [line for line in map(str.strip, piece.splitlines()) if line and line[0] != "#"]
     tabs = list(map(str.count, records, repeat("\t")))
@@ -552,8 +552,12 @@ def _piece_columns(piece: str, codes: dict[str, int]) -> tuple[np.ndarray, ...] 
     us, vs = fields[1::4], fields[2::4]
     new = [node for node in set(us).union(vs) if node not in codes]
     codes.update(zip(new, range(len(codes), len(codes) + len(new))))
+    # read as int64 and checked before narrowing, since a cast would wrap
+    layer = np.fromiter(map(int, fields[0::4]), np.int64, m)
+    if m and (layer.min() < 0 or layer.max() >= MAX_LAYERS):
+        return None
     return (
-        np.fromiter(map(int, fields[0::4]), np.int16, m),
+        layer.astype(np.int16),
         np.fromiter(map(codes.__getitem__, us), np.int32, m),
         np.fromiter(map(codes.__getitem__, vs), np.int32, m),
         np.fromiter(map(float, fields[3::4]), np.float64, m),
@@ -586,8 +590,6 @@ def _edge_columns(text: str) -> tuple[tuple[str, ...], Iterable[tuple[np.ndarray
     node_ids = tuple(sorted(codes))
     n = len(node_ids)
     if any(map(_unlabelable, node_ids)):
-        return None
-    if layer.size and (layer.min() < 0 or layer.max() >= MAX_LAYERS):
         return None
     position = np.empty(n, np.int32)
     position[np.fromiter(map(codes.__getitem__, node_ids), np.int32, n)] = np.arange(n, dtype=np.int32)

@@ -387,8 +387,7 @@ def text_of_9_mib():
 def test_parse_peak_on_a_large_text_is_under_four_times_the_text(text_of_9_mib):
     # on this text the peak is set by the columns and one layer's symmetric
     # copy, not by the 1 MiB tokenizer pieces: int16 layers and int32 node
-    # codes, each column joined on its own, peak at about 3.6x; int64
-    # columns joined all at once peaked at about 4.75x
+    # codes, each column joined on its own, peak at about 3.6x
     tracemalloc.start()
     try:
         g = parse_multilayer_edge_list(text_of_9_mib)
@@ -399,7 +398,7 @@ def test_parse_peak_on_a_large_text_is_under_four_times_the_text(text_of_9_mib):
     assert peak < 4 * len(text_of_9_mib)
 
 
-@pytest.mark.parametrize("layer", [2**15 - 1, 2**15, 40000, -(2**15) - 1, 2**63])
+@pytest.mark.parametrize("layer", [2**15 - 1, 2**15, 40000, 65536, 65537, -(2**15) - 1, 2**63])
 def test_parse_names_a_layer_index_beyond_the_int16_column(layer):
     text = f"0\ta\tb\t1.0\n{layer}\ta\tc\t1.0\n"
     bound = f"must be >= 0, got {layer}" if layer < 0 else f"must be < {MAX_LAYERS}, got {layer}"
@@ -803,8 +802,7 @@ def test_serialize_a_layer_of_several_chunks_equals_the_lexsort_writer():
 
 def test_serialize_peak_is_under_three_times_the_text(text_of_9_mib):
     # the joined chunks and the result hold the text twice; the rest is one
-    # layer's columns and one chunk's block, about 2.5x in all.  A string
-    # formatted per edge peaked at about 3.6x here
+    # layer's columns and one chunk's block, about 2.5x in all
     g = parse_multilayer_edge_list(text_of_9_mib)
     tracemalloc.start()
     try:
